@@ -6,21 +6,20 @@
 // one-block-ahead software prefetch + fastrange index reduction) targets.
 //
 // Besides the console table, the binary writes BENCH_insert_throughput.json
-// (override the path with DAVINCI_BENCH_JSON) holding both throughputs in
-// Mops and their ratio, so the insertion-throughput trajectory is
-// machine-readable from this PR onward. A committed snapshot lives at
+// through BenchJson (DAVINCI_BENCH_JSON_DIR picks the directory) holding
+// the throughputs in Mops and their ratio. A committed snapshot lives at
 // results/BENCH_insert_throughput.json.
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
+#include "bench_common.h"
 #include "core/concurrent_davinci.h"
 #include "core/davinci_sketch.h"
 #include "obs/health.h"
@@ -165,12 +164,20 @@ class ThroughputCapture : public benchmark::ConsoleReporter {
 };
 
 void WriteJson(const ThroughputCapture& capture) {
-  const char* path = std::getenv("DAVINCI_BENCH_JSON");
-  if (path == nullptr) path = "BENCH_insert_throughput.json";
   double single = capture.Mops("BM_SingleInsert");
   double batch = capture.Mops("BM_InsertBatch");
   double concurrent = capture.Mops("BM_ConcurrentInsertBatch");
   double ratio = single > 0.0 ? batch / single : 0.0;
+
+  davinci::bench::BenchJson json("insert_throughput");
+  json.Str("trace", "zipf-1.05");
+  json.Count("trace_len", TraceLen());
+  json.Count("sketch_bytes", SketchBytes());
+  json.Metric("single_insert_mops", single);
+  json.Metric("insert_batch_mops", batch);
+  json.Metric("concurrent_insert_batch_mops", concurrent);
+  json.Count("concurrent_publish_interval", kBulkLoadPublishInterval);
+  json.Metric("batch_over_single", ratio);
 
   // Final-state health of one batched build over the same trace, so the
   // snapshot records occupancy/saturation alongside the throughputs.
@@ -178,32 +185,9 @@ void WriteJson(const ThroughputCapture& capture) {
   sketch.InsertBatch(ZipfTrace());
   davinci::obs::HealthSnapshot snapshot;
   sketch.CollectStats(&snapshot);
-
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "{\n"
-                "  \"bench\": \"bench_batch_pipeline\",\n"
-                "  \"trace\": \"zipf-1.05\",\n"
-                "  \"trace_len\": %zu,\n"
-                "  \"sketch_bytes\": %zu,\n"
-                "  \"single_insert_mops\": %.3f,\n"
-                "  \"insert_batch_mops\": %.3f,\n"
-                "  \"concurrent_insert_batch_mops\": %.3f,\n"
-                "  \"concurrent_publish_interval\": %zu,\n"
-                "  \"batch_over_single\": %.3f,\n"
-                "  \"health\": ",
-                TraceLen(), SketchBytes(), single, batch, concurrent,
-                size_t{kBulkLoadPublishInterval}, ratio);
-  out << buf;
-  snapshot.WriteJson(out);
-  out << "\n}\n";
-  std::printf("single=%.2f Mops  batch=%.2f Mops  ratio=%.2fx  -> %s\n",
-              single, batch, ratio, path);
+  json.Snapshot(snapshot);
+  std::printf("single=%.2f Mops  batch=%.2f Mops  ratio=%.2fx\n", single,
+              batch, ratio);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 #include "bench_common.h"
 #include "core/concurrent_davinci.h"
 #include "core/davinci_sketch.h"
-#include "core/sliding_davinci.h"
+#include "core/epoch_manager.h"
 
 namespace {
 
@@ -73,7 +73,7 @@ int main() {
   std::printf("metric,value\n");
   {
     Trace trace = davinci::BuildSkewedTrace("w", kPackets, kFlows, 1.05, 23);
-    davinci::SlidingDaVinci window(4, kBytes / 4, 7);
+    davinci::EpochManager window(4, kBytes / 4, 7);
     size_t quarter = trace.keys.size() / 4;
     for (size_t i = 0; i < trace.keys.size(); ++i) {
       if (i > 0 && i % quarter == 0) window.Advance();

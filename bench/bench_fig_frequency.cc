@@ -9,9 +9,9 @@
 #include "baselines/cu_sketch.h"
 #include "baselines/elastic_sketch.h"
 #include "baselines/fcm_sketch.h"
-#include "baselines/sketch_interface.h"
 #include "bench_common.h"
 #include "core/davinci_sketch.h"
+#include "core/sketch_interface.h"
 
 namespace {
 

@@ -12,15 +12,15 @@
 
 #include "baselines/coco_sketch.h"
 #include "baselines/count_heap.h"
+#include "baselines/deltoid.h"
 #include "baselines/elastic_sketch.h"
 #include "baselines/fcm_sketch.h"
 #include "baselines/hashpipe.h"
-#include "baselines/sketch_interface.h"
-#include "baselines/deltoid.h"
 #include "baselines/mv_sketch.h"
 #include "baselines/univmon.h"
 #include "bench_common.h"
 #include "core/extended_queries.h"
+#include "core/sketch_interface.h"
 
 namespace {
 

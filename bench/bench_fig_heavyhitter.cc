@@ -10,7 +10,6 @@
 #include "baselines/elastic_sketch.h"
 #include "baselines/fcm_sketch.h"
 #include "baselines/hashpipe.h"
-#include "baselines/sketch_interface.h"
 #include "baselines/heavy_guardian.h"
 #include "baselines/heavy_keeper.h"
 #include "baselines/mv_sketch.h"
@@ -19,6 +18,7 @@
 #include "baselines/waving_sketch.h"
 #include "bench_common.h"
 #include "core/davinci_sketch.h"
+#include "core/sketch_interface.h"
 
 namespace {
 

@@ -288,42 +288,22 @@ void WriteQueryKernelsJson() {
   }
   double query_single = davinci::ThroughputMpps(keys.size(), single_seconds);
 
-  // Adaptive-batch parameter sweep: time QueryBatch at each (block,
-  // prefetch distance) candidate and adopt the fastest. The chosen point
-  // lands in the JSON so a regression run shows not just the speedup but
-  // the tuning that produced it.
-  constexpr size_t kBlockGrid[] = {256, 1024, 2048};
-  constexpr size_t kDistGrid[] = {0, 8, 16, 32};
-  double best_seconds = -1.0;
-  size_t best_block = 0;
-  size_t best_dist = 0;
-  for (size_t block : kBlockGrid) {
-    for (size_t dist : kDistGrid) {
-      davinci::DaVinciConfig config =
-          davinci::DaVinciConfig::FromMemory(kBytes, 1);
-      config.batch_query_block = block;
-      config.batch_prefetch_distance = dist;
-      davinci::DaVinciSketch sketch(config);
-      sketch.InsertBatch(keys);
-      double seconds = BestOfSeconds(kQueryRepeats, [&] {
-        std::vector<int64_t> answers = sketch.QueryBatch(keys);
-        sink += answers.empty() ? 0 : answers.back();
-      });
-      if (best_seconds < 0 || seconds < best_seconds) {
-        best_seconds = seconds;
-        best_block = block;
-        best_dist = dist;
-      }
-    }
+  // Batched path at QueryBatch's built-in pipeline shape.
+  double batch_seconds;
+  {
+    davinci::DaVinciSketch sketch = MakeSketch<davinci::DaVinciSketch>();
+    sketch.InsertBatch(keys);
+    batch_seconds = BestOfSeconds(kQueryRepeats, [&] {
+      std::vector<int64_t> answers = sketch.QueryBatch(keys);
+      sink += answers.empty() ? 0 : answers.back();
+    });
   }
   benchmark::DoNotOptimize(sink);
-  double query_batch = davinci::ThroughputMpps(keys.size(), best_seconds);
+  double query_batch = davinci::ThroughputMpps(keys.size(), batch_seconds);
   json.Metric("query_single_mops", query_single);
   json.Metric("query_batch_mops", query_batch);
   json.Metric("query_batch_speedup",
               query_single > 0 ? query_batch / query_single : 0.0);
-  json.Count("batch_block_chosen", best_block);
-  json.Count("batch_prefetch_distance_chosen", best_dist);
 
   // Decode scaling, default options (clamped to the host's cores): on a
   // single-core host the 4-thread request honestly degrades to the

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific lint rules the generic toolchain can't express.
 
-Five rules, each encoding a decision documented in DESIGN.md /
+Six rules, each encoding a decision documented in DESIGN.md /
 docs/STATIC_ANALYSIS.md:
 
   raw-bucket-mod      src/core must reduce hashes to bucket indexes with
@@ -28,10 +28,13 @@ docs/STATIC_ANALYSIS.md:
                       directly (outside src/core/config.{h,cc} and
                       constructors) risks caching a stale shape. Go
                       through the config accessors (FpBytes, TotalBytes,
-                      GeometryEquals, GeometryCompatible, EfCarriesOver)
-                      or the owning part's shape accessors
-                      (fp_.num_buckets() etc), which always reflect the
-                      live geometry.
+                      GeometryCompatible, EfCarriesOver) or the owning
+                      part's shape accessors (fp_.num_buckets() etc),
+                      which always reflect the live geometry.
+  baselines-include   The core does not depend on the comparator sketches:
+                      no src/ file outside src/baselines/ includes a
+                      baselines/ header. The comparators link the core,
+                      never the other way round.
 
 Suppressions: inline `// davinci-lint: allow(<rule>)` on the offending
 line, or an entry in scripts/lint_suppressions.txt (see its header).
@@ -62,6 +65,7 @@ STORE_MUT_RE = re.compile(
     r"(?:assign|resize|clear|push_back|emplace_back|insert|erase|swap)\s*\(")
 RAW_THREAD_RE = re.compile(r"std::thread\s*(?:\w+\s*)?[({]|std::jthread")
 RANDOM_DEVICE_RE = re.compile(r"std::random_device\s*(?:\w+\s*)?[;({]")
+BASELINES_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"baselines/')
 GEOMETRY_FIELD_RE = re.compile(
     r"(?:\.|->)\s*(?:fp_buckets|fp_slots|ef_bytes|ef_level_bits"
     r"|ifp_rows|ifp_buckets_per_row)\b")
@@ -88,6 +92,10 @@ def _in_src(path: str) -> bool:
 
 def _in_tests(path: str) -> bool:
     return path.startswith("tests/")
+
+
+def _outside_baselines(path: str) -> bool:
+    return path.startswith("src/") and not path.startswith("src/baselines/")
 
 
 def _in_geometry_consumers(path: str) -> bool:
@@ -166,6 +174,12 @@ def check_file(path: str, text: str) -> list[tuple[str, int, str, str]]:
                 "unseeded-random", i, raw,
                 "argless std::random_device in tests — derive the seed "
                 "via tests/test_seed.h so failures reproduce"))
+        # Matched on the raw line: strip_noncode empties the include path.
+        if _outside_baselines(path) and BASELINES_INCLUDE_RE.search(line):
+            findings.append((
+                "baselines-include", i, raw,
+                "src/ outside src/baselines/ includes a comparator header — "
+                "the core must not depend on the baselines"))
         if (_in_geometry_consumers(path) and GEOMETRY_FIELD_RE.search(code)
                 and funcs[i - 1] != "__ctor__"):
             findings.append((
@@ -287,6 +301,16 @@ SELF_TEST_CASES = [
      "config.fp_buckets = 1024;", False),  # tests fabricate geometries
     ("geometry-field-read", "src/core/foo.cc",
      "size_t n = config_.FpBytes();", False),  # accessor, not a raw field
+    ("baselines-include", "src/core/foo.h",
+     '#include "baselines/cm_sketch.h"', True),
+    ("baselines-include", "src/server/foo.cc",
+     '#  include "baselines/tower_sketch.h"', True),
+    ("baselines-include", "src/baselines/cold_filter.h",
+     '#include "baselines/cm_sketch.h"', False),  # comparators may
+    ("baselines-include", "tests/foo_test.cc",
+     '#include "baselines/cm_sketch.h"', False),  # tests compare them
+    ("baselines-include", "src/core/foo.h",
+     '#include "core/tower_sketch.h"', False),
 ]
 
 

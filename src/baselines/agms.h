@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "baselines/count_sketch.h"
-#include "baselines/sketch_interface.h"
 #include "common/hash.h"
+#include "core/sketch_interface.h"
 
 // AGMS / tug-of-war sketches (Alon, Gibbons, Matias, Szegedy) and their
 // hash-bucketed refinement F-AGMS (Cormode & Garofalakis), the classical

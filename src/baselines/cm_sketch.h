@@ -5,8 +5,8 @@
 #include <string>
 #include <vector>
 
-#include "baselines/sketch_interface.h"
 #include "common/hash.h"
+#include "core/sketch_interface.h"
 
 // Count-Min sketch (Cormode & Muthukrishnan): d rows of w 32-bit counters;
 // query is the minimum over the mapped counters. The paper's classical

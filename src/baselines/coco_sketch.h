@@ -7,8 +7,8 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/sketch_interface.h"
 #include "common/hash.h"
+#include "core/sketch_interface.h"
 
 // CocoSketch (Zhang et al., SIGCOMM'21): arrays of (key, count) buckets.
 // Every insertion increments the mapped bucket's counter; the resident key

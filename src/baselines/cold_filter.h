@@ -5,8 +5,8 @@
 #include <string>
 
 #include "baselines/cm_sketch.h"
-#include "baselines/sketch_interface.h"
-#include "baselines/tower_sketch.h"
+#include "core/sketch_interface.h"
+#include "core/tower_sketch.h"
 
 // Cold Filter (Zhou et al., SIGMOD'18 — paper reference [31]): a two-layer
 // bounded filter in front of any sketch. Cold items are absorbed by the

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "baselines/count_sketch.h"
-#include "baselines/sketch_interface.h"
+#include "core/sketch_interface.h"
 
 // CountHeap (Charikar et al.): a Count Sketch plus a top-k tracker, the
 // classical heavy-hitter / heavy-changer pipeline. A fixed share of the

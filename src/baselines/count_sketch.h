@@ -5,8 +5,8 @@
 #include <string>
 #include <vector>
 
-#include "baselines/sketch_interface.h"
 #include "common/hash.h"
+#include "core/sketch_interface.h"
 
 // Count Sketch (Charikar, Chen, Farach-Colton): d rows of signed counters
 // updated with a ±1 hash; the query is the median of the sign-corrected

@@ -10,7 +10,7 @@
 #include "baselines/fcm_sketch.h"
 #include "baselines/fermat_sketch.h"
 #include "baselines/join_sketch.h"
-#include "baselines/sketch_interface.h"
+#include "core/sketch_interface.h"
 
 // The Composite Set Operations Algorithm (CSOA) from the paper's overall-
 // performance evaluation: the minimal combination of single-task

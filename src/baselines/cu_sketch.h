@@ -5,8 +5,8 @@
 #include <string>
 #include <vector>
 
-#include "baselines/sketch_interface.h"
 #include "common/hash.h"
+#include "core/sketch_interface.h"
 
 // CU sketch (Estan & Varghese conservative update): like Count-Min but an
 // insertion only raises the mapped counters that equal the current minimum,

@@ -6,8 +6,8 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/sketch_interface.h"
 #include "common/hash.h"
+#include "core/sketch_interface.h"
 
 // Deltoid (Cormode & Muthukrishnan, "What's hot and what's not"): group
 // testing for deltoids (heavy changers). Each bucket keeps one total

@@ -7,8 +7,8 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/sketch_interface.h"
 #include "common/hash.h"
+#include "core/sketch_interface.h"
 
 // Elastic Sketch (Yang et al., SIGCOMM'18): a heavy part (hash table with
 // vote-based eviction) that stores elephants exactly, backed by a light

@@ -8,8 +8,8 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/sketch_interface.h"
 #include "common/hash.h"
+#include "core/sketch_interface.h"
 
 // FCM-Sketch (Song et al., CoNEXT'20): d trees of hierarchical counters;
 // each tree has a wide bottom stage of small counters and exponentially

@@ -6,9 +6,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "baselines/sketch_interface.h"
 #include "common/hash.h"
 #include "common/modular.h"
+#include "core/sketch_interface.h"
 
 // FermatSketch (from ChameleMon, Yang et al.): d arrays of buckets
 // {id_sum mod p, count}. Insertion adds count·key into the id field modulo

@@ -6,8 +6,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "baselines/sketch_interface.h"
 #include "common/hash.h"
+#include "core/sketch_interface.h"
 
 // FlowRadar (Li et al., NSDI'16): a Bloom flow filter plus a counting table
 // whose cells accumulate {FlowXOR, FlowCount, PacketCount}. New flows touch

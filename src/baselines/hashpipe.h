@@ -6,8 +6,8 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/sketch_interface.h"
 #include "common/hash.h"
+#include "core/sketch_interface.h"
 
 // HashPipe (Sivaraman et al., SOSR'17): a pipeline of d (key, count)
 // stages. A new packet always claims a slot in the first stage; the evicted

@@ -7,8 +7,8 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/sketch_interface.h"
 #include "common/hash.h"
+#include "core/sketch_interface.h"
 
 // HeavyGuardian (Yang et al., KDD'18 — paper reference [38]): "separate
 // and guard". Each bucket guards a few heavy cells with exponential-decay

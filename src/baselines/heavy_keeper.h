@@ -8,8 +8,8 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/sketch_interface.h"
 #include "common/hash.h"
+#include "core/sketch_interface.h"
 
 // HeavyKeeper (Yang et al., ToN'19 — the paper's reference [11]):
 // probabilistic "count-with-exponential-decay" buckets for finding top-k

@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "baselines/count_sketch.h"
-#include "baselines/sketch_interface.h"
 #include "common/hash.h"
+#include "core/sketch_interface.h"
 
 // JoinSketch (Wang et al., SIGMOD'23): separates frequent from infrequent
 // keys for accurate, unbiased inner-product estimation. Frequent keys live

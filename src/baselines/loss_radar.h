@@ -6,8 +6,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "baselines/sketch_interface.h"
 #include "common/hash.h"
+#include "core/sketch_interface.h"
 
 // LossRadar (Li et al., CoNEXT'16): an invertible-Bloom-lookup-table meter.
 // Each cell accumulates {count, Σ key, Σ checksum(key)}; subtracting the

@@ -6,8 +6,8 @@
 #include <string>
 #include <vector>
 
-#include "baselines/sketch_interface.h"
 #include "common/hash.h"
+#include "core/sketch_interface.h"
 
 // MRAC (Kumar et al., SIGMETRICS'04): a single array of counters indexed by
 // one hash; the flow-size distribution is recovered from the histogram of

@@ -6,8 +6,8 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/sketch_interface.h"
 #include "common/hash.h"
+#include "core/sketch_interface.h"
 
 // MV-Sketch (Tang, Huang, Lee — INFOCOM'19): an invertible majority-vote
 // sketch for heavy flows and heavy changers. Each bucket tracks the total

@@ -6,8 +6,8 @@
 #include <string>
 #include <vector>
 
-#include "baselines/sketch_interface.h"
 #include "common/hash.h"
+#include "core/sketch_interface.h"
 
 // NitroSketch (Liu et al., SIGCOMM'19): software-switch-friendly sketching
 // by sampling *counter updates* instead of packets. Each row of a Count

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "baselines/count_heap.h"
-#include "baselines/sketch_interface.h"
+#include "core/sketch_interface.h"
 
 // Skimmed Sketch (Ganguly et al.): estimate a join size by first "skimming"
 // the heavy hitters out of an AGMS-style sketch, computing their exact

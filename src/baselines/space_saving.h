@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/sketch_interface.h"
+#include "core/sketch_interface.h"
 
 // Space-Saving (Metwally, Agrawal, El Abbadi): the classic counter-based
 // top-k summary. m (key, count, error) entries; a miss overwrites the

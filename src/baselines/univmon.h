@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "baselines/count_heap.h"
-#include "baselines/sketch_interface.h"
 #include "common/hash.h"
+#include "core/sketch_interface.h"
 
 // UnivMon (Liu et al., SIGCOMM'16): universal streaming. L sampled
 // substreams, each summarized by a Count Sketch + top-k heap; any G-sum

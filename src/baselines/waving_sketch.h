@@ -6,8 +6,8 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/sketch_interface.h"
 #include "common/hash.h"
+#include "core/sketch_interface.h"
 
 // WavingSketch (Li et al., KDD'20 — paper reference [40]): unbiased top-k.
 // Each bucket holds l heavy cells (key, frequency, "frozen" flag) and one

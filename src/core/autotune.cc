@@ -134,7 +134,10 @@ std::optional<DaVinciConfig> AutotuneController::Observe(
     fractions[lo] -= step;
   }
   DaVinciConfig proposed = WithSplit(fractions[0], fractions[1], threshold);
-  if (proposed.GeometryEquals(current_)) return std::nullopt;
+  if (DaVinciConfig::GeometryCompatible(proposed, current_) ==
+      DaVinciConfig::GeometryRelation::kIdentical) {
+    return std::nullopt;
+  }
   fp_fraction_ = fractions[0];
   ef_fraction_ = fractions[1];
   current_ = proposed;

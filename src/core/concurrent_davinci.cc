@@ -173,7 +173,9 @@ DaVinciSketch ConcurrentDaVinci::Snapshot() const {
   DaVinciSketch merged = views[0]->sketch();
   for (size_t s = 1; s < views.size(); ++s) {
     const DaVinciSketch& shard_sketch = views[s]->sketch();
-    if (!merged.config().GeometryEquals(shard_sketch.config())) {
+    if (DaVinciConfig::GeometryCompatible(merged.config(),
+                                          shard_sketch.config()) !=
+        DaVinciConfig::GeometryRelation::kIdentical) {
       // Mid-Resize transient: this shard still publishes the other
       // geometry. Rebuild a copy into the merge geometry (same seed by
       // construction, so this cannot fail) instead of letting Merge abort.
@@ -274,7 +276,9 @@ bool ConcurrentDaVinci::ParseShardImage(std::istream& in,
       return false;  // Merge into the live shard would abort
     }
     if (!staged->empty() &&
-        !staged->front().config().GeometryEquals(loaded.config())) {
+        DaVinciConfig::GeometryCompatible(staged->front().config(),
+                                          loaded.config()) !=
+            DaVinciConfig::GeometryRelation::kIdentical) {
       return false;  // cross-shard merge (Snapshot) would abort
     }
     // Routing gate: every frequent-part resident must hash back to its

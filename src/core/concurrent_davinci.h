@@ -197,7 +197,7 @@ class ConcurrentDaVinci {
   // input: returns false — leaving *this untouched — when the shard count
   // differs from this instance's, any per-shard image fails the
   // DaVinciSketch::Load gate, the shard configs are not mutually
-  // merge-compatible (GeometryEquals), or a frequent-part resident key is
+  // kIdentical (GeometryCompatible), or a frequent-part resident key is
   // routed to a different shard by this instance's shard hash (a corrupted
   // image must not poison Snapshot()'s cross-shard merge).
   bool RestoreShards(std::istream& in);

@@ -1,6 +1,7 @@
 #include "core/config.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/check.h"
 #include "common/serialize.h"
@@ -10,13 +11,6 @@ namespace davinci {
 void DaVinciConfig::Validate() const {
   DAVINCI_CHECK_MSG(decode_threads >= 1 && decode_threads <= 64,
                     "decode_threads must be in [1, 64]");
-  DAVINCI_CHECK_MSG(batch_query_min_keys >= 1,
-                    "batch_query_min_keys must be >= 1");
-  DAVINCI_CHECK_MSG(
-      batch_query_block >= 64 && batch_query_block <= 2048,
-      "batch_query_block must be in [64, 2048]");
-  DAVINCI_CHECK_MSG(batch_prefetch_distance < batch_query_block,
-                    "batch_prefetch_distance must be < batch_query_block");
   DAVINCI_CHECK_MSG(decode_min_buckets_per_worker >= 1,
                     "decode_min_buckets_per_worker must be >= 1");
 }
@@ -84,21 +78,17 @@ void DaVinciConfig::Save(std::ostream& out) const {
   WritePod(out, seed);
 }
 
-bool DaVinciConfig::GeometryEquals(const DaVinciConfig& other) const {
-  return seed == other.seed && fp_buckets == other.fp_buckets &&
-         fp_slots == other.fp_slots && evict_lambda == other.evict_lambda &&
-         ef_level_bits == other.ef_level_bits && ef_bytes == other.ef_bytes &&
-         promotion_threshold == other.promotion_threshold &&
-         ifp_rows == other.ifp_rows &&
-         ifp_buckets_per_row == other.ifp_buckets_per_row &&
-         use_sign_hash == other.use_sign_hash &&
-         decode_cross_validation == other.decode_cross_validation;
-}
-
 DaVinciConfig::GeometryRelation DaVinciConfig::GeometryCompatible(
     const DaVinciConfig& from, const DaVinciConfig& to) {
   if (!from.Valid() || !to.Valid()) return GeometryRelation::kIncompatible;
-  if (from.GeometryEquals(to)) return GeometryRelation::kIdentical;
+  // The serialized geometry (every field Save() writes).
+  auto geometry = [](const DaVinciConfig& c) {
+    return std::tie(c.seed, c.fp_buckets, c.fp_slots, c.evict_lambda,
+                    c.ef_level_bits, c.ef_bytes, c.promotion_threshold,
+                    c.ifp_rows, c.ifp_buckets_per_row, c.use_sign_hash,
+                    c.decode_cross_validation);
+  };
+  if (geometry(from) == geometry(to)) return GeometryRelation::kIdentical;
   // The rebuild/replay path re-inserts surviving flows through the new
   // sketch's hash pipeline; a shared seed keeps the hash family (and the
   // EF cross-validation it feeds) continuous across the migration.

@@ -34,27 +34,12 @@ struct DaVinciConfig {
   // InfrequentPart::Decode). 1 = today's sequential behavior.
   size_t decode_threads = 1;
 
-  // --- Query-path tuning (runtime-only, never serialized; the answers are
-  // identical for every setting — these move only the clock). All four are
-  // surfaced in HealthSnapshot and the bench JSONs so a tuned deployment is
-  // reproducible; Validate() pins their legal ranges. ---
-
-  // Batches shorter than this skip the batched pipeline and run the plain
-  // per-key query loop: below the threshold the pipeline's hash staging and
-  // prefetch issue cost more than the misses they hide.
-  size_t batch_query_min_keys = 32;
-  // Chunk width of the batched query pipeline: base hashes are staged for
-  // one chunk at a time (bounds the stack scratch — max 2048 — and keeps
-  // the staged hashes L1-resident while the probe pass consumes them).
-  size_t batch_query_block = 1024;
-  // How many keys ahead of the probe cursor the FP bucket lines are
-  // read-prefetched. 0 disables prefetch — the right setting when the
-  // frequent part fits in cache and speculative loads only burn bandwidth.
-  size_t batch_prefetch_distance = 16;
-  // Decode sharding granularity: a purity-scan round splits across a
-  // second (or further) worker only while every worker keeps at least this
-  // many active buckets. Below the threshold the round runs sequentially —
-  // the fork/join latency exceeds the scan it would parallelize.
+  // Decode sharding granularity, runtime-only like decode_threads (the
+  // answers are identical for every setting; surfaced in HealthSnapshot):
+  // a purity-scan round splits across a second (or further) worker only
+  // while every worker keeps at least this many active buckets. Below the
+  // threshold the round runs sequentially — the fork/join latency exceeds
+  // the scan it would parallelize.
   size_t decode_min_buckets_per_worker = 4096;
 
   uint64_t seed = 1;
@@ -113,17 +98,11 @@ struct DaVinciConfig {
   static bool LoadTail(uint64_t fp_buckets, std::istream& in,
                        DaVinciConfig* config);
 
-  // True when two sketches built from these configs are linear-compatible
-  // (Merge/Subtract/HeavyChangers/InnerProduct are sound): identical seed
-  // and identical serialized geometry. Runtime-only tuning knobs
-  // (decode/batch/prefetch) are deliberately ignored — they never change
-  // answers. The server's cross-tenant query gates call this instead of
-  // letting a mismatched Merge abort the process.
-  bool GeometryEquals(const DaVinciConfig& other) const;
-
   // How two geometries relate — the single admission gate shared by
-  // resize, merge/import, and delta-apply instead of scattered ad-hoc
-  // GeometryEquals call sites.
+  // resize, merge/import, delta-apply, the window engine and the server's
+  // cross-tenant queries. Runtime-only tuning knobs (decode_threads,
+  // decode_min_buckets_per_worker) are deliberately ignored: they never
+  // change answers.
   enum class GeometryRelation {
     // Same seed, same serialized geometry: linear ops (Merge / Subtract /
     // InnerProduct / ApplyDelta / ImportMerge) are sound, and a Resize is

@@ -12,6 +12,19 @@
 
 namespace davinci {
 
+namespace {
+
+// The linear ops read the second operand's FP/EF/IFP arrays by the first
+// operand's geometry, so anything short of kIdentical would read out of
+// bounds. The server answers kBadArgument before a request gets here.
+void CheckIdenticalGeometry(const DaVinciConfig& a, const DaVinciConfig& b) {
+  DAVINCI_CHECK_MSG(DaVinciConfig::GeometryCompatible(a, b) ==
+                        DaVinciConfig::GeometryRelation::kIdentical,
+                    "linear op over sketches of different geometry");
+}
+
+}  // namespace
+
 DaVinciSketch::DaVinciSketch(const DaVinciConfig& config)
     : config_(config),
       fp_(config.fp_buckets, config.fp_slots, config.evict_lambda,
@@ -221,11 +234,19 @@ std::vector<int64_t> DaVinciSketch::QueryBatch(
   queries_.Inc(keys.size());
   const size_t n = keys.size();
 
-  // Adaptive fallthrough: below the threshold the staged pipeline's hash
-  // buffering and prefetch issue cost more than the misses they hide, so
-  // short batches run the plain per-key tail (same answers — the pipeline
-  // only reorders reads).
-  if (n < config_.batch_query_min_keys) {
+  // Pipeline shape. Every value answers identically (the pipeline only
+  // reorders reads), so these move only the clock.
+  //  - kMinKeys: shorter batches skip the pipeline, whose hash staging and
+  //    prefetch issue cost more than the misses they hide.
+  //  - kBlock: chunk width; bounds the stack scratch and keeps a chunk's
+  //    staged hashes L1-resident while the probe pass consumes them.
+  //  - kPrefetchDistance: keys ahead of the probe cursor whose FP bucket
+  //    lines are read-prefetched.
+  constexpr size_t kMinKeys = 32;
+  constexpr size_t kBlock = 1024;
+  constexpr size_t kPrefetchDistance = 16;
+
+  if (n < kMinKeys) {
     for (size_t i = 0; i < n; ++i) {
       uint64_t base_hash = HashFamily::BaseHash(keys[i]);
       bool tainted = false;
@@ -246,55 +267,39 @@ std::vector<int64_t> DaVinciSketch::QueryBatch(
   // not settle are buffered and resolved at chunk end, their EF counters
   // prefetched the moment the probe misses — the rest of the chunk's FP
   // work hides the filter fetch.
-  constexpr size_t kMaxQueryBlock = 2048;  // DaVinciConfig::Validate() cap
-  const size_t block = std::min(config_.batch_query_block, kMaxQueryBlock);
-  const size_t dist = std::min(config_.batch_prefetch_distance, block - 1);
-  uint64_t hashes[kMaxQueryBlock];
+  uint64_t hashes[kBlock];
   struct PendingKey {
     size_t index;
     uint64_t base_hash;
     int64_t fp_count;
   };
-  PendingKey pending[kMaxQueryBlock];
+  PendingKey pending[kBlock];
 
-  for (size_t start = 0; start < n; start += block) {
-    const size_t len = std::min(block, n - start);
+  for (size_t start = 0; start < n; start += kBlock) {
+    const size_t len = std::min(kBlock, n - start);
     for (size_t i = 0; i < len; ++i) {
       hashes[i] = HashFamily::BaseHash(keys[start + i]);
     }
-    // Warm the first `dist` buckets so the probe loop's steady-state
-    // prefetch distance holds from its first iteration.
-    for (size_t i = 0; i < std::min(dist, len); ++i) {
+    // Warm the first buckets so the probe loop's steady-state prefetch
+    // distance holds from its first iteration.
+    for (size_t i = 0; i < std::min(kPrefetchDistance, len); ++i) {
       fp_.PrefetchBucketRead(hashes[i]);
     }
 
     size_t num_pending = 0;
-    if (dist > 0) {
-      for (size_t i = 0; i < len; ++i) {
-        if (i + dist < len) fp_.PrefetchBucketRead(hashes[i + dist]);
-        bool tainted = false;
-        int64_t fp_count =
-            fp_.QueryWithBase(hashes[i], keys[start + i], &tainted);
-        if (fp_count != 0 && !tainted) {
-          out[start + i] = fp_count;
-          continue;
-        }
-        ef_.Prefetch(hashes[i]);
-        pending[num_pending++] = {start + i, hashes[i], fp_count};
+    for (size_t i = 0; i < len; ++i) {
+      if (i + kPrefetchDistance < len) {
+        fp_.PrefetchBucketRead(hashes[i + kPrefetchDistance]);
       }
-    } else {
-      // Prefetch disabled (FP resident in cache): the probe loop runs with
-      // zero speculative loads.
-      for (size_t i = 0; i < len; ++i) {
-        bool tainted = false;
-        int64_t fp_count =
-            fp_.QueryWithBase(hashes[i], keys[start + i], &tainted);
-        if (fp_count != 0 && !tainted) {
-          out[start + i] = fp_count;
-          continue;
-        }
-        pending[num_pending++] = {start + i, hashes[i], fp_count};
+      bool tainted = false;
+      int64_t fp_count =
+          fp_.QueryWithBase(hashes[i], keys[start + i], &tainted);
+      if (fp_count != 0 && !tainted) {
+        out[start + i] = fp_count;
+        continue;
       }
+      ef_.Prefetch(hashes[i]);
+      pending[num_pending++] = {start + i, hashes[i], fp_count};
     }
 
     // Resolve the pending keys through EF / decoded map / IFP.
@@ -398,6 +403,7 @@ double DaVinciSketch::EstimateEntropy() const {
 }
 
 void DaVinciSketch::Combine(const DaVinciSketch& other, bool subtract) {
+  CheckIdenticalGeometry(config_, other.config_);
   InvalidateDecodeCache();
 
   // Phase 1 — FP merge (Algorithm 3), while both element filters are still
@@ -545,9 +551,6 @@ void DaVinciSketch::CollectStats(obs::HealthSnapshot* out) const {
   ifp_.CollectStats(&out->ifp);
   // The IFP itself is decode-thread agnostic; the knob lives in the config.
   out->ifp.decode_threads = config_.decode_threads;
-  out->tuning.batch_query_min_keys = config_.batch_query_min_keys;
-  out->tuning.batch_query_block = config_.batch_query_block;
-  out->tuning.batch_prefetch_distance = config_.batch_prefetch_distance;
   out->tuning.decode_min_buckets_per_worker =
       config_.decode_min_buckets_per_worker;
 }
@@ -781,6 +784,7 @@ std::vector<std::pair<uint32_t, int64_t>> SketchView::HeavyHitters(
 
 double DaVinciSketch::InnerProduct(const DaVinciSketch& a,
                                    const DaVinciSketch& b) {
+  CheckIdenticalGeometry(a.config_, b.config_);
   const auto& decoded_a = a.DecodedFlows();
   const auto& decoded_b = b.DecodedFlows();
 

@@ -12,12 +12,12 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/sketch_interface.h"
 #include "common/thread_annotations.h"
 #include "core/config.h"
 #include "core/element_filter.h"
 #include "core/frequent_part.h"
 #include "core/infrequent_part.h"
+#include "core/sketch_interface.h"
 #include "obs/health.h"
 
 // DaVinci Sketch: one data structure, nine set-measurement tasks.
@@ -126,7 +126,9 @@ class DaVinciSketch : public FrequencySketch, public HeavyHitterSketch {
   double EstimateEntropy() const;
 
   // ---- multi-set tasks ----
-  // Union (Algorithm 3): this += other. Requires identical configs.
+  // The linear ops below abort unless GeometryCompatible(this, other) is
+  // kIdentical.
+  // Union (Algorithm 3): this += other.
   void Merge(const DaVinciSketch& other);
   // Signed difference: this -= other; keys only in `other` go negative.
   void Subtract(const DaVinciSketch& other);

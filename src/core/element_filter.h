@@ -5,9 +5,9 @@
 #include <iosfwd>
 #include <vector>
 
-#include "baselines/tower_sketch.h"
 #include "common/check.h"
 #include "core/config.h"
+#include "core/tower_sketch.h"
 #include "obs/health.h"
 
 // The element filter (EF) of DaVinci Sketch: a TowerSketch acting as a

@@ -41,9 +41,14 @@ bool EpochManager::ScheduleResize(const DaVinciConfig& config) {
   return true;
 }
 
+bool EpochManager::SharesEpochGeometry(const DaVinciSketch& epoch) const {
+  return DaVinciConfig::GeometryCompatible(epoch.config(), epoch_config_) ==
+         DaVinciConfig::GeometryRelation::kIdentical;
+}
+
 std::shared_ptr<const DaVinciSketch> EpochManager::RebuildEpoch(
     const std::shared_ptr<const DaVinciSketch>& epoch) {
-  if (epoch->config().GeometryEquals(epoch_config_)) return epoch;
+  if (SharesEpochGeometry(*epoch)) return epoch;
   auto rebuilt = std::make_shared<DaVinciSketch>(*epoch);
   DAVINCI_CHECK(rebuilt->Resize(epoch_config_));
   return rebuilt;
@@ -182,12 +187,6 @@ std::vector<std::pair<uint32_t, int64_t>> EpochManager::HeavyChangers(
     // Single-epoch window: nothing to compare against.
     return {};
   }
-  if (legacy_heavy_changers_) {
-    const DaVinciSketch& oldest = !front_stack_.empty()
-                                      ? *front_stack_.back().epoch
-                                      : *back_epochs_.front();
-    return live_.HeavyChangers(oldest, delta);
-  }
   // Paper two-window semantics: newest epoch vs the merged remainder of
   // the window.
   DaVinciSketch remainder = MergedSealed();
@@ -210,18 +209,18 @@ void EpochManager::CheckInvariants(InvariantMode mode) const {
   DAVINCI_CHECK_EQ(back_epochs_.empty(), back_agg_ == nullptr);
   // Geometry uniformity: a resize rebuilds every retained epoch eagerly,
   // so the whole window always shares epoch_config_'s geometry.
-  DAVINCI_CHECK(live_.config().GeometryEquals(epoch_config_));
+  DAVINCI_CHECK(SharesEpochGeometry(live_));
   live_.CheckInvariants(mode);
   for (const FrontEntry& entry : front_stack_) {
     DAVINCI_CHECK(entry.epoch != nullptr);
     DAVINCI_CHECK(entry.agg != nullptr);
-    DAVINCI_CHECK(entry.epoch->config().GeometryEquals(epoch_config_));
+    DAVINCI_CHECK(SharesEpochGeometry(*entry.epoch));
     entry.epoch->CheckInvariants(mode);
     entry.agg->CheckInvariants(mode);
   }
   for (const std::shared_ptr<const DaVinciSketch>& epoch : back_epochs_) {
     DAVINCI_CHECK(epoch != nullptr);
-    DAVINCI_CHECK(epoch->config().GeometryEquals(epoch_config_));
+    DAVINCI_CHECK(SharesEpochGeometry(*epoch));
     epoch->CheckInvariants(mode);
   }
   if (back_agg_ != nullptr) back_agg_->CheckInvariants(mode);

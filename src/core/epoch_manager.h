@@ -16,8 +16,7 @@
 // (DESIGN.md §10). It owns epoch rotation — Advance() seals the current
 // epoch (a zero-copy move into an immutable shared_ptr) and opens a fresh
 // same-seed sketch — and retains a ring of up to W−1 sealed epochs plus
-// the live one, so the window covers the last W epochs exactly like the
-// original SlidingDaVinci deque.
+// the live one, so the window covers exactly the last W epochs.
 //
 // Window queries are answered by LAZY INCREMENTAL MERGE with memoized
 // prefix merges, using the classic two-stack sliding-window aggregation
@@ -64,7 +63,6 @@ class EpochManager {
       : max_epochs_(other.max_epochs_),
         epoch_config_(std::move(other.epoch_config_)),
         pending_config_(std::move(other.pending_config_)),
-        legacy_heavy_changers_(other.legacy_heavy_changers_),
         live_(std::move(other.live_)),
         live_inserts_(other.live_inserts_),
         front_stack_(std::move(other.front_stack_)),
@@ -79,7 +77,6 @@ class EpochManager {
     max_epochs_ = other.max_epochs_;
     epoch_config_ = std::move(other.epoch_config_);
     pending_config_ = std::move(other.pending_config_);
-    legacy_heavy_changers_ = other.legacy_heavy_changers_;
     live_ = std::move(other.live_);
     live_inserts_ = other.live_inserts_;
     front_stack_ = std::move(other.front_stack_);
@@ -135,13 +132,8 @@ class EpochManager {
 
   // Heavy changers of the newest epoch against the merged remainder of
   // the window (the paper's two-window semantics, Algorithm 4 task 3).
-  // With set_legacy_heavy_changers(true), compares against the single
-  // oldest epoch instead (the pre-epoch-engine behavior; default off).
   std::vector<std::pair<uint32_t, int64_t>> HeavyChangers(
       int64_t delta) const;
-  void set_legacy_heavy_changers(bool legacy) {
-    legacy_heavy_changers_ = legacy;
-  }
 
   // ---- introspection ----
   const DaVinciSketch& live() const { return live_; }
@@ -185,6 +177,8 @@ class EpochManager {
   // Merged remainder of the window excluding the live epoch; requires
   // sealed_epochs() > 0. Bumps window_merge_hits_.
   DaVinciSketch MergedSealed() const;
+  // True when `epoch` is kIdentical to epoch_config_'s geometry.
+  bool SharesEpochGeometry(const DaVinciSketch& epoch) const;
   // Rebuilds one retained epoch into epoch_config_'s geometry.
   std::shared_ptr<const DaVinciSketch> RebuildEpoch(
       const std::shared_ptr<const DaVinciSketch>& epoch);
@@ -194,7 +188,6 @@ class EpochManager {
   size_t max_epochs_;
   DaVinciConfig epoch_config_;
   std::optional<DaVinciConfig> pending_config_;
-  bool legacy_heavy_changers_ = false;
 
   DaVinciSketch live_;
   uint64_t live_inserts_ = 0;  // lets MergedWindow skip merging an empty live

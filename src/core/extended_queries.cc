@@ -62,9 +62,4 @@ double EstimateSecondMoment(const DaVinciSketch& sketch) {
   return DaVinciSketch::InnerProduct(sketch, sketch);
 }
 
-std::vector<std::pair<uint32_t, int64_t>> WindowHeavyChangers(
-    const EpochManager& engine, int64_t delta) {
-  return engine.HeavyChangers(delta);
-}
-
 }  // namespace davinci

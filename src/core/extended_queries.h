@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/davinci_sketch.h"
-#include "core/epoch_manager.h"
 
 // Queries beyond the paper's nine tasks, derived from the same structure —
 // the paper notes that "if new operations can be transformed into this
@@ -35,15 +34,6 @@ int64_t FlowSizeQuantile(const DaVinciSketch& sketch, double q);
 
 // Second frequency moment F₂ = Σ f² (self-join size).
 double EstimateSecondMoment(const DaVinciSketch& sketch);
-
-// Heavy changers over an epoch engine's window: elements whose frequency
-// in the newest epoch differs by more than `delta` from the merged
-// remainder of the window (the paper's two-window semantics, routed
-// through EpochManager's memoized merges). Callers that used to juggle
-// two ad-hoc sketches insert into one engine and Advance() between
-// windows instead.
-std::vector<std::pair<uint32_t, int64_t>> WindowHeavyChangers(
-    const EpochManager& engine, int64_t delta);
 
 }  // namespace davinci
 

@@ -1,14 +1,17 @@
-#ifndef DAVINCI_BASELINES_SKETCH_INTERFACE_H_
-#define DAVINCI_BASELINES_SKETCH_INTERFACE_H_
+#ifndef DAVINCI_CORE_SKETCH_INTERFACE_H_
+#define DAVINCI_CORE_SKETCH_INTERFACE_H_
 
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
-// Uniform interfaces implemented by every comparator sketch so the bench
+// Uniform interfaces implemented by DaVinciSketch, its TowerSketch element
+// filter substrate and every comparator sketch in baselines/, so the bench
 // harness can sweep algorithms generically. Concrete sketches implement the
 // capability interfaces that match the tasks the paper evaluates them on.
+// They live in core/ because the core implements them; the comparators
+// depend on the core, never the other way round.
 
 namespace davinci {
 
@@ -46,4 +49,4 @@ class HeavyHitterSketch {
 
 }  // namespace davinci
 
-#endif  // DAVINCI_BASELINES_SKETCH_INTERFACE_H_
+#endif  // DAVINCI_CORE_SKETCH_INTERFACE_H_

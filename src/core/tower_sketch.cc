@@ -1,4 +1,4 @@
-#include "baselines/tower_sketch.h"
+#include "core/tower_sketch.h"
 
 #include <algorithm>
 #include <cstdlib>

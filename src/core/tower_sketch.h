@@ -1,5 +1,5 @@
-#ifndef DAVINCI_BASELINES_TOWER_SKETCH_H_
-#define DAVINCI_BASELINES_TOWER_SKETCH_H_
+#ifndef DAVINCI_CORE_TOWER_SKETCH_H_
+#define DAVINCI_CORE_TOWER_SKETCH_H_
 
 #include <cstdint>
 #include <iosfwd>
@@ -7,14 +7,14 @@
 #include <string>
 #include <vector>
 
-#include "baselines/sketch_interface.h"
 #include "common/check.h"
 #include "common/hash.h"
+#include "core/sketch_interface.h"
 
 // TowerSketch (Yang et al., SketchINT): a stack of count-min arrays where
 // lower levels have many small counters and higher levels few large ones.
-// Used standalone as a frequency baseline and as the substrate of the
-// DaVinci element filter.
+// The substrate of the DaVinci element filter (paper §III), and also used
+// standalone as a frequency baseline and by baselines/cold_filter.
 //
 // Counters are stored physically as int64_t so that sketch subtraction
 // (set difference) can go negative; MemoryBytes() accounts the design
@@ -188,4 +188,4 @@ class TowerSketch : public FrequencySketch {
 
 }  // namespace davinci
 
-#endif  // DAVINCI_BASELINES_TOWER_SKETCH_H_
+#endif  // DAVINCI_CORE_TOWER_SKETCH_H_

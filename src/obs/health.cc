@@ -59,12 +59,6 @@ void HealthSnapshot::Accumulate(const HealthSnapshot& other) {
   epoch.cow_clone_bytes =
       std::max(epoch.cow_clone_bytes, other.epoch.cow_clone_bytes);
 
-  tuning.batch_query_min_keys =
-      std::max(tuning.batch_query_min_keys, other.tuning.batch_query_min_keys);
-  tuning.batch_query_block =
-      std::max(tuning.batch_query_block, other.tuning.batch_query_block);
-  tuning.batch_prefetch_distance = std::max(
-      tuning.batch_prefetch_distance, other.tuning.batch_prefetch_distance);
   tuning.decode_min_buckets_per_worker =
       std::max(tuning.decode_min_buckets_per_worker,
                other.tuning.decode_min_buckets_per_worker);
@@ -140,10 +134,7 @@ void HealthSnapshot::WriteJson(std::ostream& out) const {
       << epoch.window_rebuild_merges << ",\"cow_clones\":" << epoch.cow_clones
       << ",\"cow_clone_bytes\":" << epoch.cow_clone_bytes << "}";
 
-  out << ",\"tuning\":{\"batch_query_min_keys\":" << tuning.batch_query_min_keys
-      << ",\"batch_query_block\":" << tuning.batch_query_block
-      << ",\"batch_prefetch_distance\":" << tuning.batch_prefetch_distance
-      << ",\"decode_min_buckets_per_worker\":"
+  out << ",\"tuning\":{\"decode_min_buckets_per_worker\":"
       << tuning.decode_min_buckets_per_worker
       << ",\"publish_interval\":" << tuning.publish_interval << "}";
 

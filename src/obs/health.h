@@ -117,14 +117,11 @@ struct EpochHealth {
   uint64_t cow_clone_bytes = 0;
 };
 
-// Runtime query-path tuning in effect at collect time: the adaptive-batch
-// and decode-sharding knobs from DaVinciConfig plus the concurrent
-// wrapper's publish interval. Pure tuning, never serialized sketch state;
-// shard aggregation takes the max (shards share one config).
+// Runtime tuning in effect at collect time: the decode-sharding knob from
+// DaVinciConfig plus the concurrent wrapper's publish interval. Pure
+// tuning, never serialized sketch state; shard aggregation takes the max
+// (shards share one config).
 struct TuningHealth {
-  size_t batch_query_min_keys = 0;
-  size_t batch_query_block = 0;
-  size_t batch_prefetch_distance = 0;
   size_t decode_min_buckets_per_worker = 0;
   size_t publish_interval = 0;  // 0 unless collected from ConcurrentDaVinci
 };

@@ -14,8 +14,8 @@
 #include "baselines/elastic_sketch.h"
 #include "baselines/fcm_sketch.h"
 #include "baselines/hashpipe.h"
-#include "baselines/tower_sketch.h"
 #include "baselines/univmon.h"
+#include "core/tower_sketch.h"
 #include "workload/ground_truth.h"
 #include "workload/trace.h"
 

@@ -7,8 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "core/davinci_sketch.h"
+#include "core/epoch_manager.h"
 #include "core/key_adapter.h"
-#include "core/sliding_davinci.h"
 #include "workload/trace.h"
 
 namespace davinci {
@@ -62,10 +62,10 @@ TEST(StringKeyTest, MergeCombinesKeySpaces) {
   EXPECT_EQ(heavy.size(), 2u);
 }
 
-// ---------- SlidingDaVinci ----------
+// ---------- Sliding windows (EpochManager) ----------
 
 TEST(SlidingTest, WindowSumsEpochs) {
-  SlidingDaVinci window(3, 64 * 1024, 1);
+  EpochManager window(3, 64 * 1024, 1);
   window.Insert(5, 100);
   window.Advance();
   window.Insert(5, 200);
@@ -74,7 +74,7 @@ TEST(SlidingTest, WindowSumsEpochs) {
 }
 
 TEST(SlidingTest, OldEpochsExpire) {
-  SlidingDaVinci window(2, 64 * 1024, 2);
+  EpochManager window(2, 64 * 1024, 2);
   window.Insert(9, 1000);
   window.Advance();  // epoch 2 (window = {1, 2})
   window.Advance();  // epoch 3 (window = {2, 3}); epoch 1 expired
@@ -82,14 +82,14 @@ TEST(SlidingTest, OldEpochsExpire) {
 }
 
 TEST(SlidingTest, EpochCountBounded) {
-  SlidingDaVinci window(4, 32 * 1024, 3);
+  EpochManager window(4, 32 * 1024, 3);
   for (int i = 0; i < 10; ++i) window.Advance();
   EXPECT_EQ(window.epochs_in_window(), 4u);
   EXPECT_LE(window.MemoryBytes(), 4u * 33 * 1024);
 }
 
 TEST(SlidingTest, MergedWindowAnswersAllTasks) {
-  SlidingDaVinci window(3, 128 * 1024, 4);
+  EpochManager window(3, 128 * 1024, 4);
   Trace trace = BuildSkewedTrace("t", 60000, 6000, 1.0, 71);
   for (size_t i = 0; i < trace.keys.size(); ++i) {
     if (i > 0 && i % 20000 == 0) window.Advance();
@@ -101,7 +101,7 @@ TEST(SlidingTest, MergedWindowAnswersAllTasks) {
 }
 
 TEST(SlidingTest, HeavyChangersNewestVsOldest) {
-  SlidingDaVinci window(2, 128 * 1024, 5);
+  EpochManager window(2, 128 * 1024, 5);
   for (int i = 0; i < 500; ++i) window.Insert(1, 1);
   window.Advance();
   for (int i = 0; i < 500; ++i) window.Insert(1, 1);   // stable

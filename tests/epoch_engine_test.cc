@@ -1,6 +1,6 @@
 // Epoch & snapshot lifecycle (DESIGN.md §10): CoW snapshot semantics on
 // DaVinciSketch, the RCU read path of ConcurrentDaVinci, and the
-// EpochManager rotation/memoized-window machinery behind SlidingDaVinci.
+// EpochManager rotation/memoized-window machinery.
 // The tsan preset turns the racing sections into hard data-race checks.
 
 #include <chrono>
@@ -17,8 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "core/concurrent_davinci.h"
-#include "core/extended_queries.h"
-#include "core/sliding_davinci.h"
+#include "core/epoch_manager.h"
 #include "obs/stats.h"
 #include "test_seed.h"
 
@@ -263,16 +262,12 @@ TEST(EpochManagerTest, HeavyChangersCompareAgainstMergedRemainder) {
   constexpr int64_t kDelta = 2000;
   constexpr uint32_t kMidKey = 424242;   // heavy only in the middle epoch
   constexpr uint32_t kLiveKey = 515151;  // heavy only in the live epoch
-  auto build = [](bool legacy) {
-    SlidingDaVinci window(3, 33 * 1024, 47);
-    window.set_legacy_heavy_changers(legacy);
-    for (uint32_t key : Keys(1, 3000, 300)) window.Insert(key);
-    window.Advance();
-    window.Insert(kMidKey, 5000);
-    window.Advance();
-    window.Insert(kLiveKey, 4000);
-    return window;
-  };
+  EpochManager window(3, 33 * 1024, 47);
+  for (uint32_t key : Keys(1, 3000, 300)) window.Insert(key);
+  window.Advance();
+  window.Insert(kMidKey, 5000);
+  window.Advance();
+  window.Insert(kLiveKey, 4000);
   auto contains = [](const std::vector<std::pair<uint32_t, int64_t>>& found,
                      uint32_t key) {
     for (const auto& [k, change] : found) {
@@ -281,32 +276,20 @@ TEST(EpochManagerTest, HeavyChangersCompareAgainstMergedRemainder) {
     return false;
   };
 
-  // Default semantics: the newest epoch is compared against the merged
-  // remainder of the window, so a key heavy anywhere in the remainder is
-  // visible — including the middle epoch the legacy path never saw.
-  SlidingDaVinci window = build(false);
+  // The newest epoch is compared against the merged remainder of the
+  // window, so a key heavy anywhere in the remainder is visible —
+  // including the middle epoch, not just the oldest one.
   auto changers = window.HeavyChangers(kDelta);
   EXPECT_TRUE(contains(changers, kMidKey));
   EXPECT_TRUE(contains(changers, kLiveKey));
-  // Same answer through the extended-queries facade.
-  auto facade = WindowHeavyChangers(window.engine(), kDelta);
-  EXPECT_TRUE(contains(facade, kMidKey));
-  EXPECT_TRUE(contains(facade, kLiveKey));
-
-  // Legacy semantics (newest vs the single oldest epoch) miss the middle
-  // epoch entirely; the live-only key still shows.
-  SlidingDaVinci legacy = build(true);
-  auto legacy_changers = legacy.HeavyChangers(kDelta);
-  EXPECT_FALSE(contains(legacy_changers, kMidKey));
-  EXPECT_TRUE(contains(legacy_changers, kLiveKey));
 }
 
-// ---- SlidingDaVinci parity satellites -------------------------------------
+// ---- window parity and telemetry ------------------------------------------
 
-TEST(SlidingDaVinciTest, InsertBatchMatchesSingleInserts) {
+TEST(EpochManagerTest, InsertBatchMatchesSingleInserts) {
   const uint64_t seed = testing::TestSeed(49);
-  SlidingDaVinci singles(3, 33 * 1024, seed);
-  SlidingDaVinci batched(3, 33 * 1024, seed);
+  EpochManager singles(3, 33 * 1024, seed);
+  EpochManager batched(3, 33 * 1024, seed);
 
   for (int e = 0; e < 4; ++e) {
     std::vector<uint32_t> keys =
@@ -334,8 +317,8 @@ TEST(SlidingDaVinciTest, InsertBatchMatchesSingleInserts) {
   batched.CheckInvariants(InvariantMode::kAdditive);
 }
 
-TEST(SlidingDaVinciTest, CollectStatsExposesEpochTelemetry) {
-  SlidingDaVinci window(4, 33 * 1024, testing::TestSeed(51));
+TEST(EpochManagerTest, CollectStatsExposesEpochTelemetry) {
+  EpochManager window(4, 33 * 1024, testing::TestSeed(51));
   for (int e = 0; e < 6; ++e) {
     for (uint32_t key : Keys(static_cast<uint32_t>(e) * 100000 + 1, 3000,
                              500 + e)) {

@@ -23,11 +23,11 @@
 #include "baselines/mv_sketch.h"
 #include "baselines/nitro_sketch.h"
 #include "baselines/space_saving.h"
-#include "baselines/sketch_interface.h"
-#include "baselines/tower_sketch.h"
 #include "baselines/univmon.h"
 #include "baselines/waving_sketch.h"
 #include "core/davinci_sketch.h"
+#include "core/sketch_interface.h"
+#include "core/tower_sketch.h"
 #include "metrics/metrics.h"
 #include "workload/ground_truth.h"
 #include "workload/trace.h"

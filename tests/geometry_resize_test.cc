@@ -40,6 +40,11 @@ namespace {
 
 using GeometryRelation = DaVinciConfig::GeometryRelation;
 
+bool Identical(const DaVinciConfig& a, const DaVinciConfig& b) {
+  return DaVinciConfig::GeometryCompatible(a, b) ==
+         GeometryRelation::kIdentical;
+}
+
 constexpr size_t kBytes = 256 * 1024;
 constexpr uint64_t kSketchSeed = 7;  // fixed: only the trace seed varies
 constexpr size_t kPackets = 120000;
@@ -77,8 +82,7 @@ TEST(GeometryCompatibleTest, IdenticalIgnoresRuntimeTuningKnobs) {
   DaVinciConfig a = DaVinciConfig::FromMemory(64 * 1024, 7);
   DaVinciConfig b = a;
   b.decode_threads = 4;
-  b.batch_query_min_keys = 1;
-  b.batch_prefetch_distance = 0;
+  b.decode_min_buckets_per_worker = 1;
   EXPECT_EQ(DaVinciConfig::GeometryCompatible(a, b),
             GeometryRelation::kIdentical);
   EXPECT_EQ(DaVinciConfig::GeometryCompatible(a, a),
@@ -169,14 +173,14 @@ TEST(SketchResizeTest, IdenticalResizePreservesDigestAndAdoptsKnobs) {
 
   DaVinciConfig same = sketch.config();
   same.decode_threads = 2;
-  same.batch_query_min_keys = 64;
+  same.decode_min_buckets_per_worker = 64;
   ASSERT_TRUE(sketch.Resize(same));
 
   // Digest-preserving no-op: the serialized image cannot change, only the
   // runtime tuning knobs are adopted.
   EXPECT_EQ(Fnv1a64(SaveBytes(sketch)), digest_before);
   EXPECT_EQ(sketch.config().decode_threads, 2u);
-  EXPECT_EQ(sketch.config().batch_query_min_keys, 64u);
+  EXPECT_EQ(sketch.config().decode_min_buckets_per_worker, 64u);
 }
 
 TEST(SketchResizeTest, IncompatibleResizeRejectedUntouched) {
@@ -401,7 +405,7 @@ TEST(EpochResizeTest, ScheduleAppliesAtSealBoundary) {
   ASSERT_TRUE(window.ScheduleResize(bigger));
   EXPECT_TRUE(window.resize_pending());
   // Nothing changes until the seal: the live geometry is still the old one.
-  EXPECT_TRUE(window.epoch_config().GeometryEquals(initial));
+  EXPECT_TRUE(Identical(window.epoch_config(), initial));
   EXPECT_EQ(window.resizes_applied(), 0u);
 
   window.Insert(99, 500);
@@ -409,7 +413,7 @@ TEST(EpochResizeTest, ScheduleAppliesAtSealBoundary) {
 
   EXPECT_FALSE(window.resize_pending());
   EXPECT_EQ(window.resizes_applied(), 1u);
-  EXPECT_TRUE(window.epoch_config().GeometryEquals(bigger));
+  EXPECT_TRUE(Identical(window.epoch_config(), bigger));
   window.CheckInvariants(InvariantMode::kAdditive);
 
   // W=3 retains epochs 2 and 3 (both rebuilt) plus the fresh live epoch;
@@ -421,7 +425,7 @@ TEST(EpochResizeTest, ScheduleAppliesAtSealBoundary) {
 
   DaVinciSketch merged = window.MergedWindow();
   merged.CheckInvariants(InvariantMode::kAdditive);
-  EXPECT_TRUE(merged.config().GeometryEquals(bigger));
+  EXPECT_TRUE(Identical(merged.config(), bigger));
 }
 
 TEST(EpochResizeTest, IncompatibleScheduleRejected) {
@@ -470,7 +474,7 @@ TEST(ConcurrentResizeTest, ReadsCompleteWhileResizeBlockedOnHostageShard) {
   ASSERT_EQ(resize.wait_for(10s), std::future_status::ready);
   EXPECT_TRUE(resize.get());
   EXPECT_EQ(sketch.resizes_applied(), 1u);
-  EXPECT_TRUE(sketch.ShardConfig().GeometryEquals(bigger));
+  EXPECT_TRUE(Identical(sketch.ShardConfig(), bigger));
   sketch.CheckInvariants(InvariantMode::kAdditive);
 }
 
@@ -566,7 +570,7 @@ TEST(AutotuneControllerTest, QuietWhenPressuresAreBalanced) {
   EXPECT_FALSE(controller.Observe(MakeSnapshot(0.5, 0.0, 0.30, 0.35)));
   EXPECT_FALSE(controller.Observe(MakeSnapshot(0.5, 0.0, 0.30, 0.35)));
   EXPECT_EQ(controller.proposals(), 0u);
-  EXPECT_TRUE(controller.current().GeometryEquals(initial));
+  EXPECT_TRUE(Identical(controller.current(), initial));
 }
 
 TEST(AutotuneControllerTest, FpPressureGrowsFpWithinStepBound) {
@@ -586,7 +590,7 @@ TEST(AutotuneControllerTest, FpPressureGrowsFpWithinStepBound) {
   EXPECT_LE(proposal->TotalBytes(), kBytes + kBytes / 20);
   EXPECT_EQ(DaVinciConfig::GeometryCompatible(initial, *proposal),
             GeometryRelation::kResizable);
-  EXPECT_TRUE(controller.current().GeometryEquals(*proposal));
+  EXPECT_TRUE(Identical(controller.current(), *proposal));
 }
 
 TEST(AutotuneControllerTest, CooldownSilencesFollowupProposals) {
@@ -634,11 +638,11 @@ TEST(AutotuneControllerTest, RevertToReconvergesWithLiveGeometry) {
   DaVinciConfig initial = DaVinciConfig::FromMemory(kBytes, kSketchSeed);
   AutotuneController controller(initial, kBytes);
   ASSERT_TRUE(controller.Observe(MakeSnapshot(1.0, 1.0, 0.05, 0.10)));
-  EXPECT_FALSE(controller.current().GeometryEquals(initial));
+  EXPECT_FALSE(Identical(controller.current(), initial));
   // The caller could not apply the proposal (e.g. quota denial): the
   // controller re-adopts what is actually live.
   controller.RevertTo(initial);
-  EXPECT_TRUE(controller.current().GeometryEquals(initial));
+  EXPECT_TRUE(Identical(controller.current(), initial));
 }
 
 TEST(AutotuneControllerTest, ProposalAppliesThroughResize) {
@@ -653,7 +657,7 @@ TEST(AutotuneControllerTest, ProposalAppliesThroughResize) {
   ASSERT_TRUE(proposal.has_value());
   ASSERT_TRUE(sketch.Resize(*proposal));
   sketch.CheckInvariants(InvariantMode::kAdditive);
-  EXPECT_TRUE(sketch.config().GeometryEquals(*proposal));
+  EXPECT_TRUE(Identical(sketch.config(), *proposal));
 }
 
 // ---------------------------------------------------------------------

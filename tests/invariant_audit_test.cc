@@ -184,5 +184,26 @@ TEST(InvariantAuditDeathTest, DetectsRowSumDivergence) {
   EXPECT_DEATH(ifp.CheckInvariants(InvariantMode::kGeneral), "id_sum");
 }
 
+// The linear ops index the second operand's arrays by the first one's
+// geometry; a smaller operand would be an out-of-bounds read, so Merge,
+// Subtract, HeavyChangers and InnerProduct refuse anything not kIdentical.
+TEST(InvariantAuditDeathTest, LinearOpsRejectMismatchedGeometry) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  DaVinciSketch big(64 * 1024, 1);
+  DaVinciSketch small(16 * 1024, 1);
+  DaVinciSketch reseeded(64 * 1024, 2);
+  for (uint32_t key = 1; key <= 500; ++key) {
+    big.Insert(key, 3);
+    small.Insert(key, 3);
+    reseeded.Insert(key, 3);
+  }
+  constexpr const char* kMessage = "different geometry";
+  EXPECT_DEATH(big.Merge(small), kMessage);
+  EXPECT_DEATH(big.Subtract(small), kMessage);
+  EXPECT_DEATH((void)big.HeavyChangers(small, 10), kMessage);
+  EXPECT_DEATH((void)DaVinciSketch::InnerProduct(big, small), kMessage);
+  EXPECT_DEATH(big.Merge(reseeded), kMessage);
+}
+
 }  // namespace
 }  // namespace davinci

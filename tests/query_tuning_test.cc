@@ -1,10 +1,11 @@
 // Tuning-surface equivalence for the adaptive query path: the tiny-batch
-// fallthrough and every (block, prefetch) setting of QueryBatch must
-// answer exactly what per-key Query answers; the persistent-pool Fermat
-// decode must be bit-identical across sharding granularities and worker
-// counts; the concurrent wrapper's batched view publication must converge
-// to the per-mutation-publish state once flushed; and the WorkerPool must
-// run every shard exactly once per round across many reused rounds.
+// fallthrough of QueryBatch must answer exactly what per-key Query
+// answers (query_batch_test covers the chunked pipeline); the
+// persistent-pool Fermat decode must be bit-identical across sharding
+// granularities and worker counts; the concurrent wrapper's batched view
+// publication must converge to the per-mutation-publish state once
+// flushed; and the WorkerPool must run every shard exactly once per round
+// across many reused rounds.
 
 #include <atomic>
 #include <cstdint>
@@ -70,13 +71,12 @@ TEST(QueryTuningTest, TinyBatchFallsThroughToSingleQueryAnswers) {
   DAVINCI_ANNOUNCE_SEED(seed);
   std::vector<uint32_t> keys = ZipfKeys(30000, seed);
 
-  DaVinciConfig config = DaVinciConfig::FromMemory(64 * 1024, 11);
-  config.batch_query_min_keys = 32;
-  DaVinciSketch sketch(config);
+  DaVinciSketch sketch(DaVinciConfig::FromMemory(64 * 1024, 11));
   sketch.InsertBatch(keys);
 
-  // Every length below, at, and just above the fallthrough threshold —
-  // including the boundary lengths where the pipeline takes over.
+  // Every length below, at, and just above QueryBatch's 32-key fallthrough
+  // threshold — including the boundary lengths where the pipeline takes
+  // over.
   for (size_t n : {size_t{0}, size_t{1}, size_t{5}, size_t{31}, size_t{32},
                    size_t{33}, size_t{100}}) {
     std::vector<uint32_t> probes(keys.begin(), keys.begin() + n);
@@ -85,29 +85,6 @@ TEST(QueryTuningTest, TinyBatchFallsThroughToSingleQueryAnswers) {
     ASSERT_EQ(batched.size(), n);
     for (size_t i = 0; i < n; ++i) {
       ASSERT_EQ(batched[i], sketch.Query(probes[i])) << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(QueryTuningTest, AnswersInvariantAcrossBlockAndPrefetchSettings) {
-  const uint64_t seed = testing::TestSeed(42);
-  DAVINCI_ANNOUNCE_SEED(seed);
-  std::vector<uint32_t> keys = ZipfKeys(30000, seed);
-
-  DaVinciConfig config = DaVinciConfig::FromMemory(64 * 1024, 11);
-  DaVinciSketch reference(config);
-  reference.InsertBatch(keys);
-  std::vector<int64_t> expected = reference.QueryBatch(keys);
-
-  for (size_t block : {size_t{64}, size_t{256}, size_t{2048}}) {
-    for (size_t dist : {size_t{0}, size_t{1}, size_t{16}, size_t{63}}) {
-      DaVinciConfig tuned = config;
-      tuned.batch_query_block = block;
-      tuned.batch_prefetch_distance = dist;
-      DaVinciSketch sketch(tuned);
-      sketch.InsertBatch(keys);
-      ASSERT_EQ(sketch.QueryBatch(keys), expected)
-          << "block=" << block << " dist=" << dist;
     }
   }
 }
@@ -221,17 +198,11 @@ TEST(PublishBatchingTest, MixedReadersMatchQuiescedReference) {
 
 TEST(TuningHealthTest, KnobsSurfaceInHealthSnapshot) {
   DaVinciConfig config = DaVinciConfig::FromMemory(64 * 1024, 5);
-  config.batch_query_min_keys = 48;
-  config.batch_query_block = 512;
-  config.batch_prefetch_distance = 8;
   config.decode_min_buckets_per_worker = 2048;
   DaVinciSketch sketch(config);
 
   obs::HealthSnapshot snapshot;
   sketch.CollectStats(&snapshot);
-  EXPECT_EQ(snapshot.tuning.batch_query_min_keys, 48u);
-  EXPECT_EQ(snapshot.tuning.batch_query_block, 512u);
-  EXPECT_EQ(snapshot.tuning.batch_prefetch_distance, 8u);
   EXPECT_EQ(snapshot.tuning.decode_min_buckets_per_worker, 2048u);
   EXPECT_EQ(snapshot.tuning.publish_interval, 0u);  // plain sketch
 
@@ -240,7 +211,7 @@ TEST(TuningHealthTest, KnobsSurfaceInHealthSnapshot) {
   obs::HealthSnapshot aggregated;
   shared.CollectStats(&aggregated);
   EXPECT_EQ(aggregated.tuning.publish_interval, 256u);
-  EXPECT_GT(aggregated.tuning.batch_query_block, 0u);
+  EXPECT_GT(aggregated.tuning.decode_min_buckets_per_worker, 0u);
 }
 
 }  // namespace
