@@ -8,9 +8,7 @@
 //   2. encode/decode throughput for both formats, in MiB/s of FLAT image
 //      bytes per second (the logical state moved, so the two formats are
 //      directly comparable).
-//   3. delta_bytes + compression_ratio_delta: a sealed epoch followed by a
-//      small write burst, encoded as a DVSD delta vs the full flat image.
-//   4. merge_tree_images_per_s: fan-in fold throughput — N exported DVSZ
+//   3. merge_tree_images_per_s: fan-in fold throughput — N exported DVSZ
 //      images decoded and left-folded into a live target, the server's
 //      kImportMerge inner loop without the socket.
 //
@@ -121,25 +119,6 @@ int Run() {
                    "bench_wire_format: compressed round trip diverged\n");
       return 1;
     }
-  }
-
-  // ---- delta image: seal, small burst, encode only the touched cells ----
-  {
-    DaVinciSketch delta_sketch(sketch);
-    delta_sketch.SealDelta();
-    const size_t burst = std::max<size_t>(1, trace.keys.size() / 100);
-    for (size_t i = 0; i < burst; ++i) {
-      delta_sketch.Insert(trace.keys[i], 1);
-    }
-    std::stringstream delta;
-    delta_sketch.SaveDelta(delta);
-    json.Count("delta_burst_keys", burst);
-    json.Count("delta_bytes", delta.str().size());
-    json.Metric("compression_ratio_delta",
-                static_cast<double>(flat.size()) /
-                    static_cast<double>(delta.str().size()));
-    std::printf("delta: %zu keys touched -> %zu B (full flat %zu B)\n",
-                burst, delta.str().size(), flat.size());
   }
 
   // ---- merge-tree fold throughput ----

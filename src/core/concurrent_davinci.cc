@@ -237,10 +237,6 @@ void ConcurrentDaVinci::CollectStats(obs::HealthSnapshot* out) const {
   out->resize.last_trigger = resize_trigger_.load(std::memory_order_relaxed);
 }
 
-void ConcurrentDaVinci::SaveShards(std::ostream& out) const {
-  SaveShards(out, SketchFormat::kFlat);
-}
-
 void ConcurrentDaVinci::SaveShards(std::ostream& out,
                                    SketchFormat format) const {
   std::vector<std::shared_ptr<const SketchView>> views = SnapshotAll();

@@ -162,15 +162,12 @@ class ConcurrentDaVinci {
   // one atomic load per shard, no locks, so writers are never stalled by a
   // checkpoint. The image is prefix-consistent per shard: call FlushViews()
   // first (after quiescing, or accepting interval-bounded staleness) to
-  // capture every completed write.
-  void SaveShards(std::ostream& out) const;
-
-  // Same image with a per-shard format selector: kCompressed writes each
-  // shard as a DVSZ container (typically >4x smaller on skewed traffic —
-  // the DVCK v2 checkpoint body and the server's kExportSketch use this).
-  // Readers need no flag: DaVinciSketch::Load sniffs the format per shard,
-  // so RestoreShards and ParseShardImage accept both, including images
-  // that mix formats.
+  // capture every completed write. `format` selects each shard's image:
+  // kCompressed writes a DVSZ container (typically >4x smaller on skewed
+  // traffic — the DVCK v2 checkpoint body and the server's kExportSketch
+  // use this). Readers need no flag: DaVinciSketch::Load sniffs the format
+  // per shard, so RestoreShards and ParseShardImage accept both, including
+  // images that mix formats.
   void SaveShards(std::ostream& out, SketchFormat format) const;
 
   // Parses ONE SaveShards image into per-shard sketches without touching

@@ -99,14 +99,14 @@ struct DaVinciConfig {
                        DaVinciConfig* config);
 
   // How two geometries relate — the single admission gate shared by
-  // resize, merge/import, delta-apply, the window engine and the server's
-  // cross-tenant queries. Runtime-only tuning knobs (decode_threads,
+  // resize, merge/import, the window engine and the server's cross-tenant
+  // queries. Runtime-only tuning knobs (decode_threads,
   // decode_min_buckets_per_worker) are deliberately ignored: they never
   // change answers.
   enum class GeometryRelation {
     // Same seed, same serialized geometry: linear ops (Merge / Subtract /
-    // InnerProduct / ApplyDelta / ImportMerge) are sound, and a Resize is
-    // a digest-preserving no-op.
+    // InnerProduct / ImportMerge) are sound, and a Resize is a
+    // digest-preserving no-op.
     kIdentical,
     // Same seed (hash family continuity), both geometries Valid(), but
     // shapes differ: linear ops are NOT sound; the only legal migration

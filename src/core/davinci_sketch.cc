@@ -610,49 +610,6 @@ bool DaVinciSketch::Load(std::istream& in, DaVinciSketch* sketch) {
   return true;
 }
 
-void DaVinciSketch::SealDelta() {
-  fp_.SealDeltaBase();
-  ef_.SealDeltaBase();
-  ifp_.SealDeltaBase();
-}
-
-void DaVinciSketch::SaveDelta(std::ostream& out) const {
-  WritePod(out, kDvsdMagic);
-  WritePod(out, kDvsdVersion);
-  config_.Save(out);
-  fp_.SaveDeltaState(out);
-  ef_.SaveDeltaState(out);
-  ifp_.SaveDeltaState(out);
-  WritePod(out, kDvsdTrailer);
-}
-
-bool DaVinciSketch::ApplyDelta(std::istream& in) {
-  uint32_t magic = 0, version = 0;
-  if (!ReadPod(in, &magic) || magic != kDvsdMagic) return false;
-  if (!ReadPod(in, &version) || version != kDvsdVersion) return false;
-  DaVinciConfig config;
-  if (!DaVinciConfig::Load(in, &config)) return false;
-  // Deltas are positional — applying one across geometries would scatter
-  // cells onto the wrong hashes silently, so admission demands the
-  // kIdentical relation (kResizable is rebuildable, not delta-appliable).
-  if (DaVinciConfig::GeometryCompatible(config, config_) !=
-      DaVinciConfig::GeometryRelation::kIdentical) {
-    return false;
-  }
-  // Stage on a CoW copy so a hostile image that fails mid-apply leaves
-  // *this untouched; the copy also starts with the cold decode cache the
-  // commit must end up with anyway.
-  DaVinciSketch staged(*this);
-  if (!staged.fp_.ApplyDeltaState(in) || !staged.ef_.ApplyDeltaState(in) ||
-      !staged.ifp_.ApplyDeltaState(in)) {
-    return false;
-  }
-  uint32_t trailer = 0;
-  if (!ReadPod(in, &trailer) || trailer != kDvsdTrailer) return false;
-  *this = std::move(staged);
-  return true;
-}
-
 std::vector<std::pair<uint32_t, int64_t>> DaVinciSketch::SurvivingFlows()
     const {
   std::vector<std::pair<uint32_t, int64_t>> flows;

@@ -57,16 +57,13 @@ enum class SketchFormat : uint8_t {
   kCompressed = 1,
 };
 
-// DVSZ (full compressed image) and DVSD (delta image) container framing.
+// DVSZ container framing.
 // The magic|version pair occupies the position of the flat format's
 // leading fp_buckets u64; DaVinciConfig::Valid() caps fp_buckets at 2^24,
 // so the sniff in Load() can never misread an honest flat image.
 inline constexpr uint32_t kDvszMagic = 0x5A535644;    // "DVSZ" little-endian
 inline constexpr uint32_t kDvszVersion = 1;
 inline constexpr uint32_t kDvszTrailer = 0x4456535A;  // "ZSVD"
-inline constexpr uint32_t kDvsdMagic = 0x44535644;    // "DVSD"
-inline constexpr uint32_t kDvsdVersion = 1;
-inline constexpr uint32_t kDvsdTrailer = 0x44565344;  // "DSVD"
 
 class DaVinciSketch : public FrequencySketch, public HeavyHitterSketch {
  public:
@@ -197,19 +194,6 @@ class DaVinciSketch : public FrequencySketch, public HeavyHitterSketch {
   void Save(std::ostream& out) const;
   void Save(std::ostream& out, SketchFormat format) const;
   static bool Load(std::istream& in, DaVinciSketch* sketch);
-
-  // ---- delta images (DVSD) ----
-  // SealDelta() pins the three parts' current CoW storage as the delta
-  // base — free on the hot path; the next write to each part clones once,
-  // exactly as an outstanding Snapshot() would force. SaveDelta() encodes
-  // only the cells/buckets touched since the seal; ApplyDelta() replays
-  // such an image onto a replica holding the base state, after which the
-  // replica is bit-identical to the sealed writer (wire_format_test pins
-  // this with the flat-image digest). ApplyDelta requires matching
-  // geometry and rejects hostile images without mutating *this.
-  void SealDelta();
-  void SaveDelta(std::ostream& out) const;
-  bool ApplyDelta(std::istream& in);
 
   // Aborts (DAVINCI_CHECK) on a violated structural invariant: the three
   // parts' geometry matches the config, every part-level audit passes

@@ -68,7 +68,7 @@ class ElementFilter {
   void SaveState(std::ostream& out) const { tower_.SaveState(out); }
   bool LoadState(std::istream& in) { return tower_.LoadState(in); }
 
-  // DVSZ compressed / delta state — thin forwards; the tower owns both the
+  // DVSZ compressed state — thin forwards; the tower owns both the
   // encoding and the hostile-image gates (see TowerSketch).
   void SaveStateCompressed(std::ostream& out) const {
     tower_.SaveStateCompressed(out);
@@ -76,9 +76,6 @@ class ElementFilter {
   bool LoadStateCompressed(std::istream& in) {
     return tower_.LoadStateCompressed(in);
   }
-  void SealDeltaBase() { tower_.SealDeltaBase(); }
-  void SaveDeltaState(std::ostream& out) const { tower_.SaveDeltaState(out); }
-  bool ApplyDeltaState(std::istream& in) { return tower_.ApplyDeltaState(in); }
 
   // Aborts (DAVINCI_CHECK) on a violated structural invariant: the
   // promotion threshold is positive and representable by the tower (T must

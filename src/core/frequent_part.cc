@@ -306,100 +306,6 @@ bool FrequentPart::LoadStateCompressed(std::istream& in) {
   return true;
 }
 
-void FrequentPart::SealDeltaBase() { delta_base_ = store_; }
-
-void FrequentPart::SaveDeltaState(std::ostream& out) const {
-  const Storage& st = *store_;
-  // A bucket is "touched" when any logical slot, its evict counter or its
-  // flag moved since the seal; base == nullptr diffs against the
-  // freshly-constructed all-zero state.
-  const Storage* base = delta_base_.get();
-  auto bucket_changed = [&](size_t b) {
-    for (size_t s = 0; s < slots_; ++s) {
-      size_t i = b * stride_ + s;
-      uint32_t base_key = base != nullptr ? base->keys[i] : 0;
-      int64_t base_count = base != nullptr ? base->counts[i] : 0;
-      uint8_t base_taint = base != nullptr ? base->tainted[i] : 0;
-      if (st.keys[i] != base_key || st.counts[i] != base_count ||
-          st.tainted[i] != base_taint) {
-        return true;
-      }
-    }
-    uint32_t base_ecnt = base != nullptr ? base->ecnt[b] : 0;
-    uint8_t base_flag = base != nullptr ? base->flags[b] : 0;
-    return st.ecnt[b] != base_ecnt || st.flags[b] != base_flag;
-  };
-  uint64_t changed = 0;
-  for (size_t b = 0; b < buckets_; ++b) {
-    if (bucket_changed(b)) ++changed;
-  }
-  WriteVarU64(out, changed);
-  uint64_t previous = 0;
-  bool first = true;
-  for (size_t b = 0; b < buckets_; ++b) {
-    if (!bucket_changed(b)) continue;
-    WriteVarU64(out, first ? b : b - previous);
-    uint64_t taint_mask = 0;
-    for (size_t s = 0; s < slots_; ++s) {
-      size_t i = b * stride_ + s;
-      WritePod(out, st.keys[i]);
-      WriteVarI64(out, st.counts[i]);
-      if (st.tainted[i] != 0) taint_mask |= uint64_t{1} << s;
-    }
-    WriteVarU64(out, taint_mask);
-    WriteVarU64(out, st.ecnt[b]);
-    WritePod(out, st.flags[b]);
-    previous = b;
-    first = false;
-  }
-}
-
-bool FrequentPart::ApplyDeltaState(std::istream& in) {
-  uint64_t changed = 0;
-  if (!ReadVarU64(in, &changed)) return false;
-  if (changed > buckets_) return false;
-  Storage& st = Mut();
-  uint64_t bucket = 0;
-  for (uint64_t k = 0; k < changed; ++k) {
-    uint64_t gap = 0;
-    if (!ReadVarU64(in, &gap)) return false;
-    if (k == 0) {
-      if (gap >= buckets_) return false;
-      bucket = gap;
-    } else {
-      if (gap == 0 || gap >= buckets_ - bucket) return false;
-      bucket += gap;
-    }
-    std::vector<uint32_t> keys(slots_);
-    std::vector<int64_t> counts(slots_);
-    for (size_t s = 0; s < slots_; ++s) {
-      if (!ReadPod(in, &keys[s]) || !ReadVarI64(in, &counts[s])) return false;
-      if (counts[s] > kMaxLoadedCount || counts[s] < -kMaxLoadedCount) {
-        return false;
-      }
-    }
-    uint64_t taint_mask = 0, ecnt = 0;
-    uint8_t flag = 0;
-    if (!ReadVarU64(in, &taint_mask) || !ReadVarU64(in, &ecnt) ||
-        !ReadPod(in, &flag)) {
-      return false;
-    }
-    // Spare taint bits beyond the slot count, oversized evict counters and
-    // non-boolean flags all flag corruption.
-    if (slots_ < 64 && (taint_mask >> slots_) != 0) return false;
-    if (ecnt > UINT32_MAX || flag > 1) return false;
-    for (size_t s = 0; s < slots_; ++s) {
-      size_t i = bucket * stride_ + s;
-      st.keys[i] = keys[s];
-      st.counts[i] = counts[s];
-      st.tainted[i] = (taint_mask >> s) & 1 ? 1 : 0;
-    }
-    st.ecnt[bucket] = static_cast<uint32_t>(ecnt);
-    st.flags[bucket] = flag;
-  }
-  return true;
-}
-
 void FrequentPart::CheckInvariants(InvariantMode mode) const {
   const Storage& st = *store_;
   DAVINCI_CHECK_EQ(stride_, simd::PaddedSlots(slots_));

@@ -140,14 +140,6 @@ class FrequentPart {
   void SaveStateCompressed(std::ostream& out) const;
   bool LoadStateCompressed(std::istream& in);
 
-  // Delta images at bucket granularity over the CoW base pinned by
-  // SealDeltaBase(): a bucket whose slots, evict counter or flag moved
-  // since the seal is re-emitted whole. See TowerSketch for the seal/apply
-  // contract.
-  void SealDeltaBase();
-  void SaveDeltaState(std::ostream& out) const;
-  bool ApplyDeltaState(std::istream& in);
-
   // Aborts (DAVINCI_CHECK) if Algorithm 1's structural invariants are
   // violated. Unconditional: array geometry, flag/taint bytes are 0/1,
   // every live entry hashes to the bucket holding it, no bucket holds a
@@ -203,9 +195,6 @@ class FrequentPart {
   int64_t evict_lambda_;
   HashFamily hash_;
   std::shared_ptr<Storage> store_;
-  // Delta base pinned by SealDeltaBase(); holding the const ref arms the
-  // CoW clone in Mut().
-  std::shared_ptr<const Storage> delta_base_;
   mutable uint64_t accesses_ = 0;
 
   // Telemetry (no-ops unless built with DAVINCI_STATS).

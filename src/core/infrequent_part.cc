@@ -385,61 +385,6 @@ bool InfrequentPart::LoadStateCompressed(std::istream& in) {
   return true;
 }
 
-void InfrequentPart::SealDeltaBase() { delta_base_ = store_; }
-
-void InfrequentPart::SaveDeltaState(std::ostream& out) const {
-  const Storage& st = *store_;
-  const size_t total = rows_ * width_;
-  uint64_t changed = 0;
-  for (size_t i = 0; i < total; ++i) {
-    uint64_t base_id = delta_base_ != nullptr ? delta_base_->ids[i] : 0;
-    int64_t base_count = delta_base_ != nullptr ? delta_base_->counts[i] : 0;
-    if (st.ids[i] != base_id || st.counts[i] != base_count) ++changed;
-  }
-  WriteVarU64(out, changed);
-  uint64_t previous = 0;
-  bool first = true;
-  for (size_t i = 0; i < total; ++i) {
-    uint64_t base_id = delta_base_ != nullptr ? delta_base_->ids[i] : 0;
-    int64_t base_count = delta_base_ != nullptr ? delta_base_->counts[i] : 0;
-    if (st.ids[i] == base_id && st.counts[i] == base_count) continue;
-    WriteVarU64(out, first ? i : i - previous);
-    WriteVarU64(out, st.ids[i]);
-    WriteVarI64(out, st.counts[i]);
-    previous = i;
-    first = false;
-  }
-}
-
-bool InfrequentPart::ApplyDeltaState(std::istream& in) {
-  const size_t total = rows_ * width_;
-  uint64_t changed = 0;
-  if (!ReadVarU64(in, &changed)) return false;
-  if (changed > total) return false;
-  Storage& st = Mut();
-  uint64_t index = 0;
-  for (uint64_t k = 0; k < changed; ++k) {
-    uint64_t gap = 0, id = 0;
-    int64_t count = 0;
-    if (!ReadVarU64(in, &gap) || !ReadVarU64(in, &id) ||
-        !ReadVarI64(in, &count)) {
-      return false;
-    }
-    if (k == 0) {
-      if (gap >= total) return false;
-      index = gap;
-    } else {
-      if (gap == 0 || gap >= total - index) return false;
-      index += gap;
-    }
-    if (id >= kFermatPrime) return false;
-    if (count > kMaxLoadedCount || count < -kMaxLoadedCount) return false;
-    st.ids[index] = id;
-    st.counts[index] = count;
-  }
-  return true;
-}
-
 void InfrequentPart::CheckInvariants(InvariantMode mode) const {
   const Storage& st = *store_;
   DAVINCI_CHECK_EQ(st.ids.size(), rows_ * width_);

@@ -129,12 +129,6 @@ class InfrequentPart {
   void SaveStateCompressed(std::ostream& out) const;
   bool LoadStateCompressed(std::istream& in);
 
-  // Delta images over the CoW base pinned by SealDeltaBase() — see
-  // TowerSketch for the seal/apply contract.
-  void SealDeltaBase();
-  void SaveDeltaState(std::ostream& out) const;
-  bool ApplyDeltaState(std::istream& in);
-
   // Test hook: plant raw cell contents directly, bypassing both the insert
   // path and LoadState's range gate — how the invariant-audit tests inject
   // corruption that no public boundary admits anymore.
@@ -201,9 +195,6 @@ class InfrequentPart {
   std::vector<HashFamily> hashes_;
   std::vector<SignHash> signs_;
   std::shared_ptr<Storage> store_;
-  // Delta base pinned by SealDeltaBase(); holding the const ref arms the
-  // CoW clone in Mut().
-  std::shared_ptr<const Storage> delta_base_;
   mutable uint64_t accesses_ = 0;
 
   // Telemetry (no-ops unless built with DAVINCI_STATS). Mutable: Decode()

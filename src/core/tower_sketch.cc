@@ -253,66 +253,6 @@ bool TowerSketch::LoadStateCompressed(std::istream& in) {
   return true;
 }
 
-void TowerSketch::SealDeltaBase() { delta_base_ = store_; }
-
-void TowerSketch::SaveDeltaState(std::ostream& out) const {
-  const Storage& st = *store_;
-  for (size_t i = 0; i < levels_.size(); ++i) {
-    const std::vector<int64_t>& counters = st.counters[i];
-    // An unsealed sketch diffs against the all-zero state, so a delta from
-    // a fresh sketch degenerates to the sparse full image.
-    const std::vector<int64_t>* base =
-        delta_base_ != nullptr ? &delta_base_->counters[i] : nullptr;
-    uint64_t changed = 0;
-    for (size_t j = 0; j < counters.size(); ++j) {
-      int64_t base_value = base != nullptr ? (*base)[j] : 0;
-      if (counters[j] != base_value) ++changed;
-    }
-    WriteVarU64(out, changed);
-    uint64_t previous = 0;
-    bool first = true;
-    for (size_t j = 0; j < counters.size(); ++j) {
-      int64_t base_value = base != nullptr ? (*base)[j] : 0;
-      if (counters[j] == base_value) continue;
-      WriteVarU64(out, first ? j : j - previous);
-      WriteVarI64(out, counters[j]);
-      previous = j;
-      first = false;
-    }
-  }
-}
-
-bool TowerSketch::ApplyDeltaState(std::istream& in) {
-  Storage& st = Mut();
-  for (size_t i = 0; i < levels_.size(); ++i) {
-    const size_t width = levels_[i].width;
-    const int64_t cap = levels_[i].cap;
-    uint64_t changed = 0;
-    if (!ReadVarU64(in, &changed)) return false;
-    if (changed > width) return false;
-    uint64_t index = 0;
-    for (uint64_t k = 0; k < changed; ++k) {
-      uint64_t gap = 0;
-      int64_t value = 0;
-      if (!ReadVarU64(in, &gap) || !ReadVarI64(in, &value)) return false;
-      // First entry is an absolute index; the rest are strictly-positive
-      // gaps, so duplicate or descending indices reject. Gaps are bounded
-      // against the remaining width before the add so a hostile gap cannot
-      // wrap `index` back into range.
-      if (k == 0) {
-        if (gap >= width) return false;
-        index = gap;
-      } else {
-        if (gap == 0 || gap >= width - index) return false;
-        index += gap;
-      }
-      if (value > cap || value < -cap) return false;
-      st.counters[i][index] = value;
-    }
-  }
-  return true;
-}
-
 void TowerSketch::CheckInvariants(InvariantMode mode) const {
   DAVINCI_CHECK(!levels_.empty());
   const Storage& st = *store_;

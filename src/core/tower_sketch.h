@@ -129,17 +129,6 @@ class TowerSketch : public FrequencySketch {
   void SaveStateCompressed(std::ostream& out) const;
   bool LoadStateCompressed(std::istream& in);
 
-  // Delta images: SealDeltaBase() pins the current storage as the delta
-  // base by retaining its CoW shared_ptr — the next write clones through
-  // Mut() exactly as a snapshot would, so sealing costs nothing on the
-  // insert hot path. SaveDeltaState() then emits only the cells that
-  // differ from the base (gap-coded sparse indices); ApplyDeltaState()
-  // overwrites those cells, turning a peer's base-state copy into a
-  // bit-identical replica of this sketch.
-  void SealDeltaBase();
-  void SaveDeltaState(std::ostream& out) const;
-  bool ApplyDeltaState(std::istream& in);
-
   // Identity of the shared counter storage — two TowerSketches return the
   // same pointer iff they still share buffers (CoW test hook).
   const void* StorageId() const { return store_.get(); }
@@ -180,9 +169,6 @@ class TowerSketch : public FrequencySketch {
 
   std::vector<Level> levels_;
   std::shared_ptr<Storage> store_;
-  // Delta base pinned by SealDeltaBase(); null until the first seal. Holding
-  // the const ref here is what arms the CoW clone in Mut().
-  std::shared_ptr<const Storage> delta_base_;
   mutable uint64_t accesses_ = 0;
 };
 

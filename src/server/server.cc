@@ -162,18 +162,32 @@ void SketchServer::DispatchRound() {
 }
 
 void SketchServer::FlushWritable(Connection& conn) {
-  while (!conn.outbox.empty()) {
-    ssize_t n = ::send(conn.fd, conn.outbox.data(), conn.outbox.size(),
-                       MSG_NOSIGNAL);
+  while (conn.HasUnsent()) {
+    ssize_t n = ::send(conn.fd, conn.outbox.data() + conn.outbox_sent,
+                       conn.outbox.size() - conn.outbox_sent, MSG_NOSIGNAL);
     if (n > 0) {
-      conn.outbox.erase(0, static_cast<size_t>(n));
+      conn.outbox_sent += static_cast<size_t>(n);
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      // Reclaim the sent prefix once it is at least half the buffer, so a
+      // reader that never fully drains holds no more than twice its
+      // unsent bytes. Each compaction moves no more bytes than were sent
+      // since the last one, so flushing stays linear.
+      if (conn.outbox_sent * 2 >= conn.outbox.size()) {
+        conn.outbox.erase(0, conn.outbox_sent);
+        conn.outbox_sent = 0;
+      }
+      return;
+    }
     if (n < 0 && errno == EINTR) continue;
-    conn.eof = true;  // peer gone; drop the connection below
-    return;
+    // Peer gone: discard what it will never read, so the connection is
+    // dropped below instead of being polled forever.
+    conn.eof = true;
+    break;
   }
+  conn.outbox.clear();
+  conn.outbox_sent = 0;
 }
 
 void SketchServer::Loop() {
@@ -187,7 +201,7 @@ void SketchServer::Loop() {
     fds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
     for (std::unique_ptr<Connection>& conn : connections_) {
       short events = POLLIN;
-      if (!conn->outbox.empty()) events |= POLLOUT;
+      if (conn->HasUnsent()) events |= POLLOUT;
       fds.push_back(pollfd{conn->fd, events, 0});
     }
     int ready = ::poll(fds.data(), fds.size(), 1000);
@@ -217,8 +231,8 @@ void SketchServer::Loop() {
     for (size_t i = 0; i < connections_.size();) {
       Connection& conn = *connections_[i];
       FlushWritable(conn);
-      if ((conn.eof && conn.outbox.empty() && conn.inbox.empty()) ||
-          (conn.close_after_flush && conn.outbox.empty())) {
+      if ((conn.eof && !conn.HasUnsent() && conn.inbox.empty()) ||
+          (conn.close_after_flush && !conn.HasUnsent())) {
         ::close(conn.fd);
         connections_.erase(connections_.begin() +
                            static_cast<ptrdiff_t>(i));

@@ -75,8 +75,13 @@ class SketchServer {
     // Complete request bodies gathered this iteration (drained by the
     // dispatch round).
     std::vector<std::vector<uint8_t>> inbox;
-    // Framed responses not yet written to the socket.
+    // Framed responses; bytes before outbox_sent are already on the
+    // socket. A send advances the cursor instead of erasing the prefix, so
+    // a multi-MB reply written in socket-buffer-sized pieces costs linear
+    // time, not a memmove of the remainder per piece.
     std::string outbox;
+    size_t outbox_sent = 0;
+    bool HasUnsent() const { return outbox_sent < outbox.size(); }
     // Sent after a fatal framing error, then close once outbox drains.
     bool close_after_flush = false;
     bool eof = false;

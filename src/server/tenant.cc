@@ -1,5 +1,8 @@
 #include "server/tenant.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
@@ -38,6 +41,15 @@ bool ValidTenantName(const std::string& name) {
     }
   }
   return true;
+}
+
+// fsync(2) on a file or directory opened with `flags`; false when it
+// cannot be opened, synced or closed.
+bool SyncPath(const std::string& path, int flags) {
+  int fd = ::open(path.c_str(), flags | O_CLOEXEC);
+  if (fd < 0) return false;
+  bool synced = ::fsync(fd) == 0;
+  return ::close(fd) == 0 && synced;
 }
 
 }  // namespace
@@ -354,6 +366,12 @@ bool TenantRegistry::Checkpoint(Tenant& tenant) {
       return false;
     }
   }
+  // The image must be on disk before the rename publishes it, or a power
+  // loss could leave the final name pointing at unwritten blocks.
+  if (!SyncPath(tmp, O_WRONLY)) {
+    std::filesystem::remove(tmp, ec);
+    return false;
+  }
   // rename(2) is atomic within a filesystem: readers (and a post-crash
   // recovery) see either the old image or the new one, never a torn file.
   std::filesystem::rename(tmp, path, ec);
@@ -361,6 +379,11 @@ bool TenantRegistry::Checkpoint(Tenant& tenant) {
     std::filesystem::remove(tmp, ec);
     return false;
   }
+  // The rename is durable only once the directory entry is. If that sync
+  // fails, a power loss may bring back either complete image; report
+  // failure so the mutation clock keeps running and the next checkpoint
+  // retries.
+  if (!SyncPath(dir_, O_RDONLY | O_DIRECTORY)) return false;
   tenant.ResetMutationClock();
   return true;
 }

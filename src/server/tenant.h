@@ -233,8 +233,9 @@ class TenantRegistry {
   // ---- persistence ----
   const std::string& checkpoint_dir() const { return dir_; }
   bool persistent() const { return !dir_.empty(); }
-  // Atomically (tmp + rename) writes `tenant`'s DVCK file. No-op without a
-  // checkpoint dir. Serialized per registry so two triggers cannot
+  // Atomically (tmp + rename) writes `tenant`'s DVCK file, fsyncing the
+  // tmp file before the rename and the directory after it, so a returned
+  // true survives power loss. No-op without a checkpoint dir. Serialized per registry so two triggers cannot
   // interleave their tmp files.
   bool Checkpoint(Tenant& tenant) DAVINCI_EXCLUDES(ckpt_mu_);
   // Checkpoints every current tenant; returns how many succeeded.

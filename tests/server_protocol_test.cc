@@ -6,7 +6,9 @@
 //    computation bit-for-bit on a seeded Zipf trace;
 //  - hostile input (unknown opcodes, truncated payloads, trailing
 //    garbage, oversized/zero length prefixes) gets a clean error reply
-//    and never harms other connections or tenants.
+//    and never harms other connections or tenants;
+//  - pipelined replies, including multi-MB exports the server must flush
+//    across many socket-buffer-sized writes, arrive whole and in order.
 
 #include <cstring>
 #include <memory>
@@ -485,6 +487,51 @@ TEST_F(ServerTest, PipelinedRequestsAnswerInOrder) {
     std::memcpy(&count, response.data() + 1, sizeof(count));
     EXPECT_EQ(count, static_cast<int64_t>(key) + 1) << "key=" << key;
   }
+}
+
+TEST_F(ServerTest, PipelinedExportsLargerThanTheSocketBufferArriveWhole) {
+  // Two tenants with different contents, so a reordered or spliced reply
+  // cannot match the bytes expected at its position.
+  constexpr uint64_t kExportBytes = 1 << 20;
+  const std::string names[] = {"big0", "big1"};
+  for (uint32_t t = 0; t < 2; ++t) {
+    ASSERT_EQ(client_.CreateTenant(names[t], kShards, kExportBytes, 9),
+              StatusCode::kOk);
+    for (uint32_t key = 1; key <= 64; ++key) {
+      ASSERT_EQ(client_.Insert(names[t], key * (t + 2), key), StatusCode::kOk);
+    }
+  }
+  auto export_request = [](const std::string& name) {
+    WireWriter writer;
+    writer.U8(kProtocolVersion);
+    writer.U8(static_cast<uint8_t>(Op::kExportSketch));
+    writer.Str(name);
+    writer.U8(0);  // flat: the largest image a tenant has
+    return writer.Take();
+  };
+  std::string lone[2];
+  for (size_t t = 0; t < 2; ++t) {
+    ASSERT_TRUE(client_.Call(export_request(names[t]), &lone[t]));
+    ASSERT_EQ(Client::ParseStatus(lone[t]), StatusCode::kOk);
+  }
+  ASSERT_NE(lone[0], lone[1]);
+
+  constexpr size_t kPipelined = 8;
+  size_t total = 0;
+  for (size_t i = 0; i < kPipelined; ++i) {
+    ASSERT_TRUE(client_.SendRequest(export_request(names[i % 2])));
+    total += lone[i % 2].size();
+  }
+  // Far past the loopback send and receive buffers combined, so the
+  // server hits EAGAIN mid-reply and resumes from its sent offset many
+  // times before the last byte leaves.
+  ASSERT_GT(total, size_t{16} << 20);
+  for (size_t i = 0; i < kPipelined; ++i) {
+    std::string response;
+    ASSERT_TRUE(client_.ReadResponse(&response)) << "reply " << i;
+    EXPECT_TRUE(response == lone[i % 2]) << "reply " << i << " differs";
+  }
+  EXPECT_EQ(client_.Ping(), StatusCode::kOk);
 }
 
 }  // namespace

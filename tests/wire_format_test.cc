@@ -3,14 +3,13 @@
 //    byte-identical to the original flat image (so every query answer is
 //    bit-identical too), and on a zipf-1.05 insert workload the DVSZ image
 //    is at least 4x smaller than the flat one;
-//  - delta images (SealDelta/SaveDelta/ApplyDelta) replay a receiver at
-//    the sealed state to the sender's exact final bytes;
 //  - the fan-in merge tree over the server protocol is bit-identical to an
 //    in-process left fold of ConcurrentDaVinci::Merge, and a two-level
 //    tree answers point queries exactly when no FP eviction is in play;
 //  - hostile DVSZ bytes (truncated runs, overlong varints, zero-length
 //    literal runs, duplicate sparse indices, bad trailers) reject cleanly
-//    at the part and whole-image level;
+//    at the part and whole-image level, as do images that lead with the
+//    retired DVSD delta-image header — in-process and over kImportMerge;
 //  - DVCK v1 (flat-body) checkpoints written before the v2 switch still
 //    recover byte-identically.
 
@@ -48,6 +47,11 @@ std::string CompressedBytes(const DaVinciSketch& sketch) {
   sketch.Save(out, SketchFormat::kCompressed);
   return out.str();
 }
+
+// Leading u64 of the retired DVSD delta-image format ("DVSD" magic,
+// version 1). Read as a flat image's fp_buckets it is ≈ 5.4e9, far past
+// DaVinciConfig::Valid()'s 2^24 cap, so Load must reject it softly.
+constexpr uint64_t kRetiredDvsdHeader = (uint64_t{1} << 32) | 0x44535644;
 
 DaVinciSketch BuildZipfSketch(size_t total_bytes, uint64_t seed,
                               size_t trace_len) {
@@ -95,76 +99,6 @@ TEST(WireFormatTest, FlatImagesStillLoadUnchanged) {
   DaVinciSketch loaded(1024, 0);
   ASSERT_TRUE(DaVinciSketch::Load(in, &loaded));
   EXPECT_EQ(FlatBytes(loaded), flat);
-}
-
-// ---------------------------------------------------------------------------
-// Delta images.
-
-TEST(WireFormatTest, DeltaReplaysReceiverToSenderBytes) {
-  DaVinciSketch sender = BuildZipfSketch(256 * 1024, 17, 60000);
-
-  // Receiver = sender's exact state at seal time (flat round trip).
-  std::stringstream sealed(FlatBytes(sender));
-  DaVinciSketch receiver(1024, 0);
-  ASSERT_TRUE(DaVinciSketch::Load(sealed, &receiver));
-
-  sender.SealDelta();
-  Trace tail = BuildSkewedTrace("tail", 8000, 500, 1.05, 99);
-  for (uint32_t key : tail.keys) sender.Insert(key, 2);
-
-  std::stringstream delta;
-  sender.SaveDelta(delta);
-  // The delta only carries touched buckets: it must be much smaller than
-  // the full image.
-  EXPECT_LT(delta.str().size(), FlatBytes(sender).size() / 2);
-
-  ASSERT_TRUE(receiver.ApplyDelta(delta));
-  EXPECT_EQ(FlatBytes(receiver), FlatBytes(sender));
-}
-
-TEST(WireFormatTest, EmptyDeltaIsAccepted) {
-  DaVinciSketch sender = BuildZipfSketch(64 * 1024, 19, 10000);
-  std::stringstream sealed(FlatBytes(sender));
-  DaVinciSketch receiver(1024, 0);
-  ASSERT_TRUE(DaVinciSketch::Load(sealed, &receiver));
-
-  sender.SealDelta();  // nothing written after the seal
-  std::stringstream delta;
-  sender.SaveDelta(delta);
-  ASSERT_TRUE(receiver.ApplyDelta(delta));
-  EXPECT_EQ(FlatBytes(receiver), FlatBytes(sender));
-}
-
-TEST(WireFormatTest, DeltaAgainstMismatchedGeometryIsRejected) {
-  DaVinciSketch sender(64 * 1024, 21);
-  sender.SealDelta();
-  sender.Insert(5, 1);
-  std::stringstream delta;
-  sender.SaveDelta(delta);
-  DaVinciSketch other(128 * 1024, 21);  // different geometry
-  std::string before = FlatBytes(other);
-  EXPECT_FALSE(other.ApplyDelta(delta));
-  EXPECT_EQ(FlatBytes(other), before);  // receiver untouched on failure
-}
-
-TEST(WireFormatTest, TruncatedDeltaLeavesReceiverUntouched) {
-  DaVinciSketch sender = BuildZipfSketch(64 * 1024, 23, 10000);
-  std::stringstream sealed(FlatBytes(sender));
-  DaVinciSketch receiver(1024, 0);
-  ASSERT_TRUE(DaVinciSketch::Load(sealed, &receiver));
-
-  sender.SealDelta();
-  for (uint32_t key = 1; key <= 500; ++key) sender.Insert(key, 3);
-  std::stringstream delta;
-  sender.SaveDelta(delta);
-  std::string bytes = delta.str();
-  std::string before = FlatBytes(receiver);
-  for (size_t cut : {size_t{0}, size_t{3}, bytes.size() / 2,
-                     bytes.size() - 1}) {
-    std::stringstream truncated(bytes.substr(0, cut));
-    EXPECT_FALSE(receiver.ApplyDelta(truncated)) << "cut=" << cut;
-    EXPECT_EQ(FlatBytes(receiver), before) << "cut=" << cut;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -283,6 +217,15 @@ TEST(WireFormatTest, WholeImageTrailerAndTruncationRejected) {
     DaVinciSketch loaded(1024, 0);
     EXPECT_FALSE(DaVinciSketch::Load(in, &loaded));
   }
+  // A retired DVSD delta image: the header word followed by a real image
+  // tail.
+  {
+    std::stringstream in;
+    WritePod(in, kRetiredDvsdHeader);
+    in << FlatBytes(sketch).substr(sizeof(uint64_t));
+    DaVinciSketch loaded(1024, 0);
+    EXPECT_FALSE(DaVinciSketch::Load(in, &loaded));
+  }
   // Dense truncation sweep (same shape as the flat-image fuzz test).
   std::vector<size_t> cuts;
   for (size_t i = 0; i < 64 && i < bytes.size(); ++i) cuts.push_back(i);
@@ -376,7 +319,7 @@ TEST_F(MergeTreeTest, WireFanInMatchesInProcessLeftFold) {
   EXPECT_EQ(agg_image.height, 1u);
   expected.FlushViews();
   std::stringstream expected_bytes;
-  expected.SaveShards(expected_bytes);
+  expected.SaveShards(expected_bytes, SketchFormat::kFlat);
   EXPECT_EQ(agg_image.image, expected_bytes.str())
       << "wire fan-in diverged from the in-process left fold";
 }
@@ -470,6 +413,28 @@ TEST_F(MergeTreeTest, ImportValidationFailuresLeaveTargetUntouched) {
   EXPECT_EQ(client_.ImportMerge("tgt", bad, nullptr),
             server::StatusCode::kBadArgument);
 
+  // A retired DVSD delta image in shard 0's slot: the shard count is
+  // right, so the per-shard Load must reject it. The target's image stays
+  // byte-identical and the daemon keeps answering.
+  {
+    server::Client::ExportedSketch before, after, flat_src;
+    ASSERT_EQ(client_.ExportSketch("tgt", 0, &before),
+              server::StatusCode::kOk);
+    ASSERT_EQ(client_.ExportSketch("src", 0, &flat_src),
+              server::StatusCode::kOk);
+    std::stringstream header;
+    WritePod(header, kRetiredDvsdHeader);
+    server::Client::ExportedSketch retired = flat_src;
+    retired.image.replace(sizeof(uint32_t), sizeof(uint64_t), header.str());
+    std::vector<server::Client::ExportedSketch> delta{retired};
+    EXPECT_EQ(client_.ImportMerge("tgt", delta, nullptr),
+              server::StatusCode::kBadArgument);
+    ASSERT_EQ(client_.ExportSketch("tgt", 0, &after),
+              server::StatusCode::kOk);
+    EXPECT_EQ(after.image, before.image);
+    EXPECT_EQ(client_.Ping(), server::StatusCode::kOk);
+  }
+
   // Trailing junk after a valid image.
   server::Client::ExportedSketch padded = good;
   padded.image += '\0';
@@ -522,7 +487,7 @@ TEST(WireFormatTest, CheckpointV1FlatBodiesStillRecover) {
     WritePod(out, seed);
     WritePod(out, uint32_t{0});  // window_epochs
     WritePod(out, uint64_t{3});  // epoch
-    engine.SaveShards(out);      // flat body
+    engine.SaveShards(out, SketchFormat::kFlat);
     WritePod(out, uint32_t{0x44564B43});  // 'KCVD'
   }
 
