@@ -193,23 +193,16 @@ DaVinciConfig ConcurrentDaVinci::ShardConfig() const {
   return shards_[0].view.load(std::memory_order_acquire)->sketch().config();
 }
 
-bool ConcurrentDaVinci::Resize(const DaVinciConfig& per_shard_config,
-                               uint32_t trigger) {
+bool ConcurrentDaVinci::Resize(const DaVinciConfig& per_shard_config) {
   if (DaVinciConfig::GeometryCompatible(ShardConfig(), per_shard_config) ==
       DaVinciConfig::GeometryRelation::kIncompatible) {
-    RecordResizeRejected();
     return false;
   }
-  size_t before = MemoryBytes();
   for (Shard& shard : shards_) {
     MutexLock lock(&shard.mutex);
     DAVINCI_CHECK(shard.sketch->Resize(per_shard_config));
     Publish(shard);
   }
-  resize_bytes_before_.store(before, std::memory_order_relaxed);
-  resize_bytes_after_.store(MemoryBytes(), std::memory_order_relaxed);
-  resize_trigger_.store(trigger, std::memory_order_relaxed);
-  resizes_applied_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -228,13 +221,6 @@ void ConcurrentDaVinci::CollectStats(obs::HealthSnapshot* out) const {
     out->Accumulate(one);
   }
   out->tuning.publish_interval = publish_interval();
-  out->resize.applied = resizes_applied_.load(std::memory_order_relaxed);
-  out->resize.rejected = resizes_rejected_.load(std::memory_order_relaxed);
-  out->resize.bytes_before =
-      resize_bytes_before_.load(std::memory_order_relaxed);
-  out->resize.bytes_after =
-      resize_bytes_after_.load(std::memory_order_relaxed);
-  out->resize.last_trigger = resize_trigger_.load(std::memory_order_relaxed);
 }
 
 void ConcurrentDaVinci::SaveShards(std::ostream& out,

@@ -126,33 +126,12 @@ class ConcurrentDaVinci {
   // Rebuilds every shard's live sketch into `per_shard_config`, one shard
   // at a time under that shard's mutex, publishing a fresh view per shard
   // — readers stay lock-free on their current views throughout and are
-  // never blocked. Returns false (recording a rejection) when the new
-  // geometry is kIncompatible with the current one. `trigger` is an
-  // obs::ResizeHealth::Trigger value recorded in the resize provenance.
-  // Concurrent writers are safe; concurrent Resize calls must be
-  // externally serialized (the server's tenant does so) — two interleaved
-  // resizes could strand shards on different geometries.
-  bool Resize(const DaVinciConfig& per_shard_config,
-              uint32_t trigger = obs::ResizeHealth::kAdmin);
-  // Bumps the rejected-resize tally (quota denials happen above this
-  // layer but belong in the same provenance stream).
-  void RecordResizeRejected() {
-    resizes_rejected_.fetch_add(1, std::memory_order_relaxed);
-  }
-  uint64_t resizes_applied() const {
-    return resizes_applied_.load(std::memory_order_relaxed);
-  }
-  // The full provenance record (same fields CollectStats reports) — the
-  // server checkpoints it so resize history survives recovery.
-  obs::ResizeHealth ResizeProvenance() const {
-    obs::ResizeHealth resize;
-    resize.applied = resizes_applied_.load(std::memory_order_relaxed);
-    resize.rejected = resizes_rejected_.load(std::memory_order_relaxed);
-    resize.bytes_before = resize_bytes_before_.load(std::memory_order_relaxed);
-    resize.bytes_after = resize_bytes_after_.load(std::memory_order_relaxed);
-    resize.last_trigger = resize_trigger_.load(std::memory_order_relaxed);
-    return resize;
-  }
+  // never blocked. Returns false, touching no shard, when the new geometry
+  // is kIncompatible with the current one. Concurrent writers are safe;
+  // anything else that reads or changes the geometry (another Resize, an
+  // image parse-then-merge, a whole-engine export) must be serialized
+  // against it by the owner — the server's Tenant does so on its mutex.
+  bool Resize(const DaVinciConfig& per_shard_config);
   // Per-shard geometry currently live (read off shard 0's published view;
   // uniform outside a Resize transient).
   DaVinciConfig ShardConfig() const;
@@ -182,7 +161,9 @@ class ConcurrentDaVinci {
 
   // Fan-in merge: left-folds every staged image (each from ParseShardImage
   // with match_live_geometry) into the live shards, in the order given,
-  // publishing each shard once at the end. The state evolution is exactly
+  // publishing each shard once at the end. The parse's geometry gate holds
+  // only if no Resize runs between the two calls (the server's Tenant holds
+  // its mutex across both). The state evolution is exactly
   // `for (i) Merge(engine_of(images[i]))` — the canonical order matters
   // because FP eviction during merge is order-sensitive (DESIGN.md §Wire
   // format), so the aggregator pins request order rather than pretending
@@ -273,15 +254,6 @@ class ConcurrentDaVinci {
   HashFamily shard_hash_;
   std::vector<Shard> shards_;
   std::atomic<size_t> publish_interval_{1};
-
-  // Resize provenance (obs::ResizeHealth). Relaxed atomics: bumped by the
-  // (externally serialized) resize path, read by CollectStats from any
-  // thread.
-  std::atomic<uint64_t> resizes_applied_{0};
-  std::atomic<uint64_t> resizes_rejected_{0};
-  std::atomic<uint64_t> resize_bytes_before_{0};
-  std::atomic<uint64_t> resize_bytes_after_{0};
-  std::atomic<uint32_t> resize_trigger_{obs::ResizeHealth::kNone};
 };
 
 }  // namespace davinci

@@ -64,34 +64,6 @@ void HealthSnapshot::Accumulate(const HealthSnapshot& other) {
                other.tuning.decode_min_buckets_per_worker);
   tuning.publish_interval =
       std::max(tuning.publish_interval, other.tuning.publish_interval);
-
-  // Merge-tree provenance: the height of an aggregate view is its tallest
-  // contributor; the counters sum; the per-level histogram merges
-  // element-wise.
-  merge_tree.height = std::max(merge_tree.height, other.merge_tree.height);
-  merge_tree.import_requests += other.merge_tree.import_requests;
-  merge_tree.imported_images += other.merge_tree.imported_images;
-  merge_tree.imported_bytes += other.merge_tree.imported_bytes;
-  if (merge_tree.images_per_level.size() <
-      other.merge_tree.images_per_level.size()) {
-    merge_tree.images_per_level.resize(
-        other.merge_tree.images_per_level.size(), 0);
-  }
-  for (size_t i = 0; i < other.merge_tree.images_per_level.size(); ++i) {
-    merge_tree.images_per_level[i] += other.merge_tree.images_per_level[i];
-  }
-
-  // Resize provenance: the request tallies sum; the before/after footprint
-  // and trigger describe ONE (the most recent) swap, so the side that has
-  // seen more applied swaps wins — with a tie the non-empty one does.
-  resize.rejected += other.resize.rejected;
-  if (other.resize.applied > 0 &&
-      (resize.applied == 0 || other.resize.applied >= resize.applied)) {
-    resize.bytes_before = other.resize.bytes_before;
-    resize.bytes_after = other.resize.bytes_after;
-    resize.last_trigger = other.resize.last_trigger;
-  }
-  resize.applied += other.resize.applied;
 }
 
 void HealthSnapshot::WriteJson(std::ostream& out) const {

@@ -127,11 +127,12 @@ struct TuningHealth {
 };
 
 // Fan-in merge-tree provenance (server kImportMerge aggregation, see
-// docs/SERVER.md §Export / ImportMerge). A tenant that has only ever
-// ingested raw traffic sits at height 0; importing images whose tallest
-// source has height h lifts the target to h+1, so `height` reads off how
-// many aggregation hops separate this view from raw ingest. Structural
-// counters, live regardless of DAVINCI_STATS.
+// docs/SERVER.md §Export / ImportMerge). Only the server's Tenant fills
+// it, after folding its shards; Accumulate leaves it alone. A tenant that
+// has only ever ingested raw traffic sits at height 0; importing images
+// whose tallest source has height h lifts the target to h+1, so `height`
+// reads off how many aggregation hops separate this view from raw
+// ingest. Structural counters, live regardless of DAVINCI_STATS.
 struct MergeTreeHealth {
   uint32_t height = 0;            // max source height + 1, 0 = leaf
   uint64_t import_requests = 0;   // kImportMerge frames applied
@@ -145,10 +146,11 @@ struct MergeTreeHealth {
   std::vector<uint64_t> images_per_level;
 };
 
-// Dynamic-geometry provenance (DaVinciSketch::Resize via ConcurrentDaVinci
-// / EpochManager / the server's kResizeTenant — see DESIGN.md §12). What
-// triggered the last applied resize, and the footprint it moved between.
-// Structural counters, live regardless of DAVINCI_STATS.
+// Dynamic-geometry provenance of a server tenant (kResizeTenant — see
+// DESIGN.md §12). What triggered the last applied resize, and the
+// footprint it moved between. The Tenant owns the one record and copies
+// it into its snapshots; Accumulate leaves it alone. Structural
+// counters, live regardless of DAVINCI_STATS.
 struct ResizeHealth {
   // What asked for the last applied resize.
   enum Trigger : uint32_t {
@@ -179,6 +181,7 @@ struct HealthSnapshot {
 
   // Shard aggregation: sums capacities, scans and counters; takes the max
   // of ecnt_max; merges tower levels element-wise (shards share geometry).
+  // The tenant-level merge_tree and resize sections are not folded.
   void Accumulate(const HealthSnapshot& other);
 
   // Single JSON object, no trailing newline.

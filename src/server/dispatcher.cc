@@ -1,9 +1,6 @@
 #include "server/dispatcher.h"
 
-#include <algorithm>
 #include <map>
-#include <sstream>
-#include <utility>
 #include <vector>
 
 #include "core/davinci_sketch.h"
@@ -102,7 +99,7 @@ std::string RequestDispatcher::CreateTenant(WireReader& reader) {
   // Quota admission gets its own status so a client can tell "you asked
   // for more than your ceiling" from a structurally invalid request
   // (registry Create would fold both into kBadArgument via Valid()).
-  if (options.max_bytes != 0 && options.total_bytes > options.max_bytes) {
+  if (!options.WithinQuota(options.total_bytes)) {
     return StatusBody(StatusCode::kQuotaExceeded);
   }
   return StatusBody(ToStatus(registry_->Create(name, options)));
@@ -165,7 +162,7 @@ std::string RequestDispatcher::ResizeTenant(WireReader& reader) {
   }
   std::shared_ptr<Tenant> tenant = registry_->Find(name);
   if (!tenant) return StatusBody(StatusCode::kNoSuchTenant);
-  switch (tenant->Resize(total_bytes, obs::ResizeHealth::kAdmin)) {
+  switch (tenant->Resize(total_bytes)) {
     case Tenant::ResizeOutcome::kBadArgument:
       return StatusBody(StatusCode::kBadArgument);
     case Tenant::ResizeOutcome::kQuotaExceeded:
@@ -203,7 +200,7 @@ std::string RequestDispatcher::Health(WireReader& reader) {
   writer.U64(stats.queries);
   writer.U64(tenant->epoch());
   writer.U8(tenant->windowed() ? 1 : 0);
-  writer.U32(tenant->merge_height());
+  writer.U32(stats.merge_tree.height);
   writer.U64(stats.resize.applied);
   writer.U64(stats.resize.rejected);
   writer.U64(stats.resize.bytes_before);
@@ -237,12 +234,9 @@ std::string RequestDispatcher::ExportSketch(WireReader& reader) {
   }
   std::shared_ptr<Tenant> tenant = registry_->Find(name);
   if (!tenant) return StatusBody(StatusCode::kNoSuchTenant);
-  // Flush first so the exported image carries every completed write, same
-  // contract as a checkpoint.
-  tenant->engine().FlushViews();
-  std::ostringstream image;
-  tenant->engine().SaveShards(image, static_cast<SketchFormat>(format));
-  std::string bytes = std::move(image).str();
+  uint32_t merge_height = 0;
+  std::string bytes =
+      tenant->Export(static_cast<SketchFormat>(format), &merge_height);
   // status + height + blob length prefix must still frame; a tenant too big
   // for one flat frame can usually still export compressed.
   if (bytes.size() + 16 > kMaxFrameBytes) {
@@ -250,7 +244,7 @@ std::string RequestDispatcher::ExportSketch(WireReader& reader) {
   }
   WireWriter writer;
   writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.U32(tenant->merge_height());
+  writer.U32(merge_height);
   writer.Blob(bytes);
   return writer.Take();
 }
@@ -274,30 +268,14 @@ std::string RequestDispatcher::ImportMerge(WireReader& reader) {
   if (!reader.Done()) return StatusBody(StatusCode::kMalformed);
   std::shared_ptr<Tenant> tenant = registry_->Find(name);
   if (!tenant) return StatusBody(StatusCode::kNoSuchTenant);
-  // All-or-nothing: every image is parsed and geometry-gated BEFORE any of
-  // them touches the engine, so a bad image in the middle of the batch
-  // cannot leave a half-applied fold.
-  std::vector<std::vector<DaVinciSketch>> staged;
-  staged.reserve(n);
-  uint64_t total_bytes = 0;
-  uint32_t max_source_height = 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    std::istringstream in(blobs[i]);
-    std::vector<DaVinciSketch> shards;
-    if (!tenant->engine().ParseShardImage(in, &shards) ||
-        in.peek() != std::char_traits<char>::eof()) {
-      return StatusBody(StatusCode::kBadArgument);
-    }
-    total_bytes += blobs[i].size();
-    max_source_height = std::max(max_source_height, heights[i]);
-    staged.push_back(std::move(shards));
+  uint32_t merge_height = 0;
+  if (!tenant->ImportMerge(blobs, heights, &merge_height)) {
+    return StatusBody(StatusCode::kBadArgument);
   }
-  tenant->engine().MergeShardImages(std::move(staged));
-  tenant->RecordImport(n, total_bytes, max_source_height);
   MaybeCheckpoint(tenant, n);
   WireWriter writer;
   writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.U32(tenant->merge_height());
+  writer.U32(merge_height);
   return writer.Take();
 }
 

@@ -68,8 +68,7 @@ Tenant::Tenant(std::string name, const TenantOptions& options)
     // window's epochs mergeable with nothing — it is a private lifecycle.
     MutexLock lock(&window_mu_);
     window_ = std::make_unique<EpochManager>(
-        options_.window_epochs,
-        std::max<uint64_t>(8 * 1024, options_.total_bytes / options_.shards),
+        options_.window_epochs, options_.PerShardBytes(options_.total_bytes),
         options_.seed);
   }
 }
@@ -102,24 +101,29 @@ uint64_t Tenant::AdvanceEpoch() {
   return epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-Tenant::ResizeOutcome Tenant::Resize(uint64_t total_bytes, uint32_t trigger) {
-  MutexLock lock(&resize_mu_);
-  if (total_bytes < 1024 || total_bytes > (uint64_t{1} << 31)) {
-    engine_.RecordResizeRejected();
-    return ResizeOutcome::kBadArgument;
+Tenant::ResizeOutcome Tenant::Resize(uint64_t total_bytes) {
+  MutexLock lock(&mu_);
+  ResizeOutcome outcome = ResizeOutcome::kBadArgument;
+  if (TenantOptions::BudgetInBounds(total_bytes)) {
+    outcome = options_.WithinQuota(total_bytes)
+                  ? ResizeOutcome::kOk
+                  : ResizeOutcome::kQuotaExceeded;
   }
-  if (options_.max_bytes != 0 && total_bytes > options_.max_bytes) {
-    engine_.RecordResizeRejected();
-    return ResizeOutcome::kQuotaExceeded;
+  DaVinciConfig config;
+  uint64_t bytes_before = 0;
+  if (outcome == ResizeOutcome::kOk) {
+    // Same per-shard derivation as construction, at the new budget; the
+    // creation seed carries over, so the relation is kResizable unless a
+    // checkpoint restored the engine under a foreign seed.
+    config = DaVinciConfig::FromMemory(options_.PerShardBytes(total_bytes),
+                                       options_.seed);
+    bytes_before = engine_.MemoryBytes();
+    if (!engine_.Resize(config)) outcome = ResizeOutcome::kBadArgument;
   }
-  // Same per-shard derivation as construction, at the new budget; the
-  // creation seed carries over, so the relation is kResizable by
-  // construction and the engine swap cannot be rejected.
-  uint64_t per_shard =
-      std::max<uint64_t>(8 * 1024, total_bytes / options_.shards);
-  DaVinciConfig config =
-      DaVinciConfig::FromMemory(per_shard, options_.seed);
-  if (!engine_.Resize(config, trigger)) return ResizeOutcome::kBadArgument;
+  if (outcome != ResizeOutcome::kOk) {
+    ++resize_.rejected;
+    return outcome;
+  }
   if (windowed()) {
     // The window applies the same per-shard geometry at its next seal
     // boundary (EpochManager::Advance), mirroring its construction-time
@@ -127,7 +131,11 @@ Tenant::ResizeOutcome Tenant::Resize(uint64_t total_bytes, uint32_t trigger) {
     MutexLock window_lock(&window_mu_);
     DAVINCI_CHECK(window_->ScheduleResize(config));
   }
-  current_bytes_.store(total_bytes, std::memory_order_relaxed);
+  ++resize_.applied;
+  resize_.bytes_before = bytes_before;
+  resize_.bytes_after = engine_.MemoryBytes();
+  resize_.last_trigger = obs::ResizeHealth::kAdmin;
+  current_bytes_ = total_bytes;
   return ResizeOutcome::kOk;
 }
 
@@ -147,50 +155,64 @@ void Tenant::CollectStats(obs::HealthSnapshot* out) const {
       MutexLock lock(&window_mu_);
       window_->CollectStats(&window_stats);
     }
-    out->Accumulate(window_stats);
+    // The window is not a set of shards: its counters would double the
+    // engine's, so only its rotation telemetry and footprint join.
+    out->memory_bytes += window_stats.memory_bytes;
+    out->epoch = window_stats.epoch;
   }
-  {
-    // Fold the checkpointed provenance baseline under the engine's live
-    // counters so resize history reads continuously across a recovery —
-    // same precedence rule as HealthSnapshot::Accumulate (the live record
-    // wins the bytes/trigger fields once the engine has applied anything).
-    MutexLock lock(&resize_mu_);
-    out->resize.applied += resize_baseline_.applied;
-    out->resize.rejected += resize_baseline_.rejected;
-    if (out->resize.last_trigger == obs::ResizeHealth::kNone &&
-        resize_baseline_.last_trigger != obs::ResizeHealth::kNone) {
-      out->resize.bytes_before = resize_baseline_.bytes_before;
-      out->resize.bytes_after = resize_baseline_.bytes_after;
-      out->resize.last_trigger = resize_baseline_.last_trigger;
-    }
-  }
-  out->merge_tree.height = merge_height();
-  {
-    MutexLock lock(&import_mu_);
-    out->merge_tree.import_requests = import_requests_;
-    out->merge_tree.imported_images = imported_images_;
-    out->merge_tree.imported_bytes = imported_bytes_;
-    out->merge_tree.images_per_level = images_per_level_;
-  }
+  MutexLock lock(&mu_);
+  out->resize = resize_;
+  out->merge_tree = merge_tree_;
 }
 
-void Tenant::RecordImport(uint64_t images, uint64_t bytes,
-                          uint32_t max_source_height) {
-  uint32_t new_height = max_source_height + 1;
-  // Monotonic max: concurrent imports race benignly.
-  uint32_t seen = merge_height_.load(std::memory_order_relaxed);
-  while (seen < new_height &&
-         !merge_height_.compare_exchange_weak(seen, new_height,
-                                              std::memory_order_relaxed)) {
+std::string Tenant::Export(SketchFormat format, uint32_t* merge_height) {
+  MutexLock lock(&mu_);
+  engine_.FlushViews();
+  std::ostringstream image;
+  engine_.SaveShards(image, format);
+  *merge_height = merge_tree_.height;
+  return std::move(image).str();
+}
+
+bool Tenant::ImportMerge(std::span<const std::string> images,
+                         std::span<const uint32_t> heights,
+                         uint32_t* merge_height) {
+  uint32_t max_source_height = 0;
+  for (uint32_t height : heights) {
+    if (height == UINT32_MAX) return false;
+    max_source_height = std::max(max_source_height, height);
   }
-  MutexLock lock(&import_mu_);
-  ++import_requests_;
-  imported_images_ += images;
-  imported_bytes_ += bytes;
-  size_t level = std::min<size_t>(new_height - 1,
-                                  obs::MergeTreeHealth::kMaxTrackedLevels - 1);
-  if (images_per_level_.size() <= level) images_per_level_.resize(level + 1, 0);
-  images_per_level_[level] += images;
+  MutexLock lock(&mu_);
+  // Every image is parsed and geometry-gated BEFORE any of them touches
+  // the engine, so a bad image in the middle of the batch cannot leave a
+  // half-applied fold; the mutex keeps a Resize from moving the live
+  // geometry between the gate and the merge.
+  std::vector<std::vector<DaVinciSketch>> staged;
+  staged.reserve(images.size());
+  uint64_t total_bytes = 0;
+  for (const std::string& blob : images) {
+    std::istringstream in(blob);
+    std::vector<DaVinciSketch> shards;
+    if (!engine_.ParseShardImage(in, &shards) ||
+        in.peek() != std::char_traits<char>::eof()) {
+      return false;
+    }
+    total_bytes += blob.size();
+    staged.push_back(std::move(shards));
+  }
+  engine_.MergeShardImages(std::move(staged));
+  const uint32_t new_height = max_source_height + 1;
+  merge_tree_.height = std::max(merge_tree_.height, new_height);
+  ++merge_tree_.import_requests;
+  merge_tree_.imported_images += images.size();
+  merge_tree_.imported_bytes += total_bytes;
+  size_t level = std::min<size_t>(
+      new_height - 1, obs::MergeTreeHealth::kMaxTrackedLevels - 1);
+  std::vector<uint64_t>& per_level = merge_tree_.images_per_level;
+  if (per_level.size() <= level) per_level.resize(level + 1, 0);
+  per_level[level] += images.size();
+  *merge_height = merge_tree_.height;
+  return true;
 }
 
 void Tenant::SaveCheckpoint(std::ostream& out) {
@@ -204,28 +226,17 @@ void Tenant::SaveCheckpoint(std::ostream& out) {
   WritePod(out, options_.window_epochs);
   WritePod(out, options_.max_bytes);
   WritePod(out, epoch());
-  // v3: the live budget and the cumulative resize record (recovery's
-  // baseline + everything the engine applied since), so resize history
+  MutexLock lock(&mu_);
+  // v3: the live budget and the tenant's resize record, so resize history
   // reads continuously across any number of crash/recover cycles. The
   // shard image below already carries the post-resize geometry — this is
   // provenance, not a rebuild key.
-  WritePod(out, current_bytes());
-  obs::ResizeHealth live = engine_.ResizeProvenance();
-  {
-    MutexLock lock(&resize_mu_);
-    live.applied += resize_baseline_.applied;
-    live.rejected += resize_baseline_.rejected;
-    if (live.last_trigger == obs::ResizeHealth::kNone) {
-      live.bytes_before = resize_baseline_.bytes_before;
-      live.bytes_after = resize_baseline_.bytes_after;
-      live.last_trigger = resize_baseline_.last_trigger;
-    }
-  }
-  WritePod(out, live.applied);
-  WritePod(out, live.rejected);
-  WritePod(out, live.bytes_before);
-  WritePod(out, live.bytes_after);
-  WritePod(out, live.last_trigger);
+  WritePod(out, current_bytes_);
+  WritePod(out, resize_.applied);
+  WritePod(out, resize_.rejected);
+  WritePod(out, resize_.bytes_before);
+  WritePod(out, resize_.bytes_after);
+  WritePod(out, resize_.last_trigger);
   // Capture every completed write: views may be publish-interval stale.
   engine_.FlushViews();
   engine_.SaveShards(out, SketchFormat::kCompressed);
@@ -272,17 +283,13 @@ bool Tenant::ReadCheckpointHeader(std::istream& in, CheckpointHeader* header) {
 
 bool Tenant::RestoreCheckpointBody(std::istream& in,
                                    const CheckpointHeader& header) {
+  MutexLock lock(&mu_);
   if (!engine_.RestoreShards(in)) return false;
   uint32_t trailer = 0;
   if (!ReadPod(in, &trailer) || trailer != kCheckpointTrailer) return false;
   epoch_.store(header.epoch, std::memory_order_relaxed);
-  {
-    MutexLock lock(&resize_mu_);
-    resize_baseline_ = header.resize;
-  }
-  if (header.current_bytes != 0) {
-    current_bytes_.store(header.current_bytes, std::memory_order_relaxed);
-  }
+  resize_ = header.resize;
+  if (header.current_bytes != 0) current_bytes_ = header.current_bytes;
   return true;
 }
 

@@ -1,6 +1,7 @@
 #ifndef DAVINCI_SERVER_TENANT_H_
 #define DAVINCI_SERVER_TENANT_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
@@ -66,14 +67,31 @@ struct TenantOptions {
   // and resize admission (StatusCode::kQuotaExceeded on the wire).
   uint64_t max_bytes = 0;
 
+  // The byte bounds every budget, at creation or resize, must lie in.
+  static bool BudgetInBounds(uint64_t bytes) {
+    return bytes >= 1024 && bytes <= (uint64_t{1} << 31);
+  }
+  bool WithinQuota(uint64_t bytes) const {
+    return max_bytes == 0 || bytes <= max_bytes;
+  }
+  // Each shard's (and each window epoch's) share of a `bytes` budget.
+  uint64_t PerShardBytes(uint64_t bytes) const {
+    return std::max<uint64_t>(8 * 1024, bytes / shards);
+  }
+
   bool Valid() const {
     return shards >= 1 && shards <= kMaxShardsPerTenant &&
-           total_bytes >= 1024 && total_bytes <= (uint64_t{1} << 31) &&
-           window_epochs <= 64 &&
-           (max_bytes == 0 || total_bytes <= max_bytes);
+           BudgetInBounds(total_bytes) && window_epochs <= 64 &&
+           WithinQuota(total_bytes);
   }
 };
 
+// A tenant owns its geometry: one mutex, `mu_`, serializes everything that
+// changes the geometry (Resize, checkpoint restore) against everything
+// that must see one geometry throughout (ImportMerge's parse-then-merge,
+// Export, SaveCheckpoint), and guards the resize and merge-tree records.
+// Ingest and queries never take it. Lock order: the registry's ckpt_mu_,
+// then mu_, then the engine's shard mutexes and window_mu_.
 class Tenant {
  public:
   Tenant(std::string name, const TenantOptions& options);
@@ -102,29 +120,24 @@ class Tenant {
   std::vector<std::pair<uint32_t, int64_t>> WindowHeavyChangers(
       int64_t delta) const DAVINCI_EXCLUDES(window_mu_);
 
-  // Engine health plus — for windowed tenants — the epoch engine's
-  // rotation/memoization telemetry folded in.
+  // The engine's health (shards, inserts, queries and the three parts),
+  // plus — for windowed tenants — the window's `epoch` section and its
+  // bytes added to memory_bytes, plus the tenant's resize and merge-tree
+  // records.
   void CollectStats(obs::HealthSnapshot* out) const
-      DAVINCI_EXCLUDES(window_mu_);
+      DAVINCI_EXCLUDES(mu_, window_mu_);
 
   // ---- dynamic geometry (kResizeTenant; DESIGN.md §12) ----
   // Rebuilds the tenant onto a `total_bytes` budget: the engine resizes
   // shard-by-shard (readers stay lock-free throughout) and a windowed
   // tenant schedules the matching per-epoch geometry for its next seal
   // boundary. The seed and shard count are fixed at creation, so the new
-  // geometry is always kResizable. Returns kQuotaExceeded (recording a
-  // rejection) when options().max_bytes caps the tenant below the request,
-  // kBadArgument when `total_bytes` is outside TenantOptions bounds.
-  // Serialized internally: concurrent Resize calls queue on resize_mu_.
+  // geometry is always kResizable. Returns kBadArgument when `total_bytes`
+  // is outside TenantOptions::BudgetInBounds, kQuotaExceeded when
+  // options().max_bytes caps the tenant below the request; both count as
+  // rejected in the resize record.
   enum class ResizeOutcome : uint8_t { kOk, kBadArgument, kQuotaExceeded };
-  ResizeOutcome Resize(uint64_t total_bytes,
-                       uint32_t trigger = obs::ResizeHealth::kAdmin)
-      DAVINCI_EXCLUDES(resize_mu_, window_mu_);
-  // The byte budget currently live (creation total_bytes until the first
-  // successful Resize; restored from a v3 checkpoint on recovery).
-  uint64_t current_bytes() const {
-    return current_bytes_.load(std::memory_order_relaxed);
-  }
+  ResizeOutcome Resize(uint64_t total_bytes) DAVINCI_EXCLUDES(mu_, window_mu_);
 
   // Mutations since the last checkpoint (the server's periodic
   // seal-and-checkpoint trigger reads and resets this).
@@ -137,23 +150,27 @@ class Tenant {
     mutations_since_checkpoint_.store(0, std::memory_order_relaxed);
   }
 
-  // ---- merge-tree provenance (kImportMerge; docs/OBSERVABILITY.md) ----
-  // Aggregation height of this tenant's view: 0 until the first import
-  // (pure raw ingest), then max over imports of (tallest source height +
-  // 1). Exported alongside the image so a downstream aggregator can track
-  // its own depth.
-  uint32_t merge_height() const {
-    return merge_height_.load(std::memory_order_relaxed);
-  }
-  // Records one applied kImportMerge: `images` shard images totalling
-  // `bytes` wire bytes, whose tallest source sat at `max_source_height`.
-  void RecordImport(uint64_t images, uint64_t bytes,
-                    uint32_t max_source_height) DAVINCI_EXCLUDES(import_mu_);
+  // ---- merge-tree fan-in (kExportSketch / kImportMerge) ----
+  // The tenant's SaveShards image in `format`, flushed first so it carries
+  // every completed write, and its merge height (0 until the first import,
+  // then max over imports of tallest source height + 1).
+  std::string Export(SketchFormat format, uint32_t* merge_height)
+      DAVINCI_EXCLUDES(mu_);
+  // Folds `images` (SaveShards images whose sources sat at `heights`) into
+  // the engine in request order and records the import. All or nothing:
+  // returns false, touching nothing, when any height is UINT32_MAX (the
+  // tenant's own height would wrap) or any image fails the engine's
+  // ParseShardImage gates — including a geometry other than the live one
+  // — or carries trailing bytes. On success `*merge_height` is the
+  // tenant's post-import height.
+  bool ImportMerge(std::span<const std::string> images,
+                   std::span<const uint32_t> heights, uint32_t* merge_height)
+      DAVINCI_EXCLUDES(mu_);
 
   // ---- persistence ----
   // Serializes the DVCK image (flushes unpublished views first so the
   // image reflects every completed write at call time).
-  void SaveCheckpoint(std::ostream& out);
+  void SaveCheckpoint(std::ostream& out) DAVINCI_EXCLUDES(mu_);
   // Parses a DVCK header; returns false if it is unusable (bad magic /
   // version / name / options).
   struct CheckpointHeader {
@@ -166,9 +183,10 @@ class Tenant {
   };
   static bool ReadCheckpointHeader(std::istream& in, CheckpointHeader* header);
   // Restores the shard image + trailer into this tenant's engine, plus the
-  // header's epoch and (v3) resize provenance. False (engine untouched) on
+  // header's epoch and (v3) resize record. False (engine untouched) on
   // any validation failure.
-  bool RestoreCheckpointBody(std::istream& in, const CheckpointHeader& header);
+  bool RestoreCheckpointBody(std::istream& in, const CheckpointHeader& header)
+      DAVINCI_EXCLUDES(mu_);
 
  private:
   const std::string name_;
@@ -183,24 +201,12 @@ class Tenant {
   std::atomic<uint64_t> epoch_{0};
   std::atomic<uint64_t> mutations_since_checkpoint_{0};
 
-  // Resize path. resize_mu_ serializes concurrent Resize calls (the
-  // engine's shard-by-shard swap must not interleave with another resize)
-  // and guards the provenance baseline restored from a v3 checkpoint —
-  // CollectStats folds it into the engine's live counters so resize
-  // history survives recovery.
-  mutable Mutex resize_mu_;
-  obs::ResizeHealth resize_baseline_ DAVINCI_GUARDED_BY(resize_mu_);
-  std::atomic<uint64_t> current_bytes_;
-
-  // Merge-tree provenance. The height is atomic so kExportSketch reads it
-  // lock-free; the counters and per-level histogram sit behind their own
-  // mutex (imports are rare admin-path operations).
-  std::atomic<uint32_t> merge_height_{0};
-  mutable Mutex import_mu_;
-  uint64_t import_requests_ DAVINCI_GUARDED_BY(import_mu_) = 0;
-  uint64_t imported_images_ DAVINCI_GUARDED_BY(import_mu_) = 0;
-  uint64_t imported_bytes_ DAVINCI_GUARDED_BY(import_mu_) = 0;
-  std::vector<uint64_t> images_per_level_ DAVINCI_GUARDED_BY(import_mu_);
+  mutable Mutex mu_;
+  // The byte budget currently live (creation total_bytes until the first
+  // successful Resize; restored from a v3 checkpoint on recovery).
+  uint64_t current_bytes_ DAVINCI_GUARDED_BY(mu_);
+  obs::ResizeHealth resize_ DAVINCI_GUARDED_BY(mu_);
+  obs::MergeTreeHealth merge_tree_ DAVINCI_GUARDED_BY(mu_);
 };
 
 // Status of a registry mutation (mirrors the wire statuses the dispatcher

@@ -8,10 +8,14 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <random>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -205,20 +209,31 @@ TEST(ConcurrentStressTest, CrossMergeDoesNotDeadlock) {
 TEST(ConcurrentStressTest, MultiTenantServerSoak) {
   // Server leg: N client threads hammer M tenants over real sockets with
   // mixed ops — batched ingest, point/batch queries, heavy hitters,
-  // cardinality, epoch seals, cross-tenant unions, admin churn. Runs a
-  // short version everywhere; the tsan CI leg sets DAVINCI_STRESS_SERVER=1
-  // for a longer soak (dispatcher + registry + tenant synchronization all
-  // under the race detector).
+  // cardinality, epoch seals, checkpoints, cross-tenant unions, export/
+  // import fan-in, admin churn — plus one "elastic" tenant the clients
+  // resize between two budgets while importing the soak tenants' exports
+  // into it (the tenant-mutex paths). Runs a short version everywhere; the
+  // tsan CI leg sets DAVINCI_STRESS_SERVER=1 for a longer soak
+  // (dispatcher + registry + tenant synchronization all under the race
+  // detector).
   const char* soak_env = std::getenv("DAVINCI_STRESS_SERVER");
   const bool soak = soak_env != nullptr && *soak_env != '\0';
   const int kClients = 4;
   const int kTenants = 4;
+  constexpr uint64_t kSoakBytes = 128 * 1024;
   const int rounds = soak ? 60 : 12;
   const uint64_t seed = testing::TestSeed(29);
   DAVINCI_ANNOUNCE_SEED(seed);
 
+  // Persistent, so kCheckpoint and the post-resize checkpoint really
+  // serialize each tenant.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("davinci_soak_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
   server::ServerOptions options;
   options.workers = 3;
+  options.checkpoint_dir = dir.string();
   server::SketchServer server(options);
   ASSERT_TRUE(server.Start());
   {
@@ -226,10 +241,12 @@ TEST(ConcurrentStressTest, MultiTenantServerSoak) {
     ASSERT_TRUE(admin.Connect(server.port()));
     for (int m = 0; m < kTenants; ++m) {
       // Shared seed: every cross-tenant pairing stays geometry-compatible.
-      ASSERT_EQ(admin.CreateTenant("soak" + std::to_string(m), 4, 128 * 1024,
+      ASSERT_EQ(admin.CreateTenant("soak" + std::to_string(m), 4, kSoakBytes,
                                    seed),
                 server::StatusCode::kOk);
     }
+    ASSERT_EQ(admin.CreateTenant("elastic", 4, kSoakBytes, seed),
+              server::StatusCode::kOk);
   }
 
   std::vector<std::thread> threads;
@@ -266,12 +283,40 @@ TEST(ConcurrentStressTest, MultiTenantServerSoak) {
           ASSERT_EQ(client.AdvanceEpoch(tenant, &epoch),
                     server::StatusCode::kOk);
         }
+        if (round % 4 == (c + 2) % 4) {
+          bool written = false;
+          ASSERT_EQ(client.Checkpoint(tenant, &written),
+                    server::StatusCode::kOk);
+          EXPECT_TRUE(written);
+        }
         if (tenant != other) {
           double union_card = -1;
           ASSERT_EQ(client.UnionCardinality(tenant, other, &union_card),
                     server::StatusCode::kOk);
           EXPECT_GE(union_card, 0.0);
         }
+        // Fan-in: every round feeds the elastic tenant; a few rounds per
+        // client also fold one soak tenant into another (rarely, since
+        // each such import can double the target's counts).
+        std::vector<server::Client::ExportedSketch> exported(1);
+        ASSERT_EQ(client.ExportSketch(other, 1, &exported[0]),
+                  server::StatusCode::kOk);
+        if (round % 15 == c + 3) {
+          ASSERT_EQ(client.ImportMerge(tenant, exported),
+                    server::StatusCode::kOk);
+        }
+        uint64_t live_bytes = 0;
+        ASSERT_EQ(client.ResizeTenant(
+                      "elastic", (round + c) % 2 == 0 ? kSoakBytes
+                                                      : 2 * kSoakBytes,
+                      &live_bytes),
+                  server::StatusCode::kOk);
+        server::StatusCode imported = client.ImportMerge("elastic", exported);
+        EXPECT_TRUE(imported == server::StatusCode::kOk ||
+                    imported == server::StatusCode::kBadArgument);
+        server::Client::ExportedSketch elastic;
+        ASSERT_EQ(client.ExportSketch("elastic", 1, &elastic),
+                  server::StatusCode::kOk);
         std::vector<std::string> names;
         ASSERT_EQ(client.ListTenants(&names), server::StatusCode::kOk);
         EXPECT_GE(names.size(), static_cast<size_t>(kTenants));
@@ -290,7 +335,11 @@ TEST(ConcurrentStressTest, MultiTenantServerSoak) {
     ASSERT_NE(tenant, nullptr);
     tenant->engine().CheckInvariants(InvariantMode::kAdditive);
   }
+  std::shared_ptr<server::Tenant> elastic = server.registry().Find("elastic");
+  ASSERT_NE(elastic, nullptr);
+  elastic->engine().CheckInvariants(InvariantMode::kAdditive);
   server.Stop();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

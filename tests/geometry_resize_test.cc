@@ -3,7 +3,7 @@
 // (bit-identity when the EF does not carry, bounded error on all nine
 // tasks when it does), seal-boundary resize in EpochManager, the
 // non-blocking shard-by-shard ConcurrentDaVinci resize, the continuous
-// AutotuneController policy, and the ResizeHealth provenance record.
+// AutotuneController policy, and the server tenant's resize record.
 //
 // The accuracy legs reuse the accuracy_regression_test fixture idiom
 // (seeded Zipf trace, GroundTruth, pinned bounds ~2x the error observed
@@ -31,6 +31,7 @@
 #include "core/epoch_manager.h"
 #include "metrics/metrics.h"
 #include "obs/health.h"
+#include "server/tenant.h"
 #include "test_seed.h"
 #include "workload/ground_truth.h"
 #include "workload/trace.h"
@@ -439,7 +440,7 @@ TEST(EpochResizeTest, IncompatibleScheduleRejected) {
 
 // ---------------------------------------------------------------------
 // ConcurrentDaVinci: shard-by-shard resize never blocks the lock-free
-// read path (the PR's acceptance criterion), and provenance is recorded.
+// read path, even mid-swap while the published views span two geometries.
 // ---------------------------------------------------------------------
 
 TEST(ConcurrentResizeTest, ReadsCompleteWhileResizeBlockedOnHostageShard) {
@@ -447,33 +448,54 @@ TEST(ConcurrentResizeTest, ReadsCompleteWhileResizeBlockedOnHostageShard) {
   ConcurrentDaVinci sketch(4, kBytes, kSketchSeed);
   for (uint32_t key = 0; key < 20000; ++key) sketch.Insert(key, 1 + key % 8);
   sketch.FlushViews();
+  const DaVinciConfig initial = sketch.ShardConfig();
 
-  // Hold shard 0's write lock hostage: the shard-by-shard resize must park
-  // on it while readers keep landing on published views untouched.
-  ReleasableMutexLock hostage(&sketch.ShardMutexForTesting(0));
+  // Hold the LAST shard's write lock hostage: the shard-by-shard resize
+  // swaps every other shard, then parks on it with the published views
+  // spanning two geometries — the transient Snapshot() must rebuild.
+  ReleasableMutexLock hostage(
+      &sketch.ShardMutexForTesting(sketch.num_shards() - 1));
 
   DaVinciConfig bigger = DaVinciConfig::FromMemory(128 * 1024, kSketchSeed);
   std::future<bool> resize = std::async(
       std::launch::async, [&] { return sketch.Resize(bigger); });
 
+  auto mixed = [&] {
+    std::vector<std::shared_ptr<const SketchView>> views =
+        sketch.SnapshotAll();
+    return Identical(views.front()->sketch().config(), bigger) &&
+           Identical(views.back()->sketch().config(), initial);
+  };
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (!mixed() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  const bool reached_transient = mixed();
+
+  std::vector<uint32_t> keys(512);
+  for (uint32_t i = 0; i < keys.size(); ++i) keys[i] = i * 37;
   std::future<void> reads = std::async(std::launch::async, [&] {
-    for (int round = 0; round < 50; ++round) {
+    for (int round = 0; round < 4; ++round) {
       for (uint32_t key = 0; key < 2000; ++key) {
         EXPECT_GE(sketch.Query(key), 0);
       }
+      EXPECT_EQ(sketch.QueryBatch(keys).size(), keys.size());
       EXPECT_GT(sketch.EstimateCardinality(), 0.0);
       (void)sketch.HeavyHitters(100);
+      EXPECT_TRUE(Identical(sketch.Snapshot().config(), bigger));
     }
   });
 
   // Reads finish while the resize is still parked on the hostage shard.
-  ASSERT_EQ(reads.wait_for(10s), std::future_status::ready);
-  EXPECT_EQ(resize.wait_for(100ms), std::future_status::timeout);
-
+  const bool reads_done = reads.wait_for(30s) == std::future_status::ready;
+  const bool resize_parked =
+      resize.wait_for(100ms) == std::future_status::timeout;
   hostage.Release();
+  EXPECT_TRUE(reached_transient);
+  EXPECT_TRUE(reads_done);
+  EXPECT_TRUE(resize_parked);
   ASSERT_EQ(resize.wait_for(10s), std::future_status::ready);
   EXPECT_TRUE(resize.get());
-  EXPECT_EQ(sketch.resizes_applied(), 1u);
   EXPECT_TRUE(Identical(sketch.ShardConfig(), bigger));
   sketch.CheckInvariants(InvariantMode::kAdditive);
 }
@@ -501,7 +523,7 @@ TEST(ConcurrentResizeTest, ResizeUnderConcurrentReadersAndWriter) {
   }
 
   DaVinciConfig bigger = DaVinciConfig::FromMemory(128 * 1024, kSketchSeed);
-  EXPECT_TRUE(sketch.Resize(bigger, obs::ResizeHealth::kAutotune));
+  EXPECT_TRUE(sketch.Resize(bigger));
 
   stop.store(true, std::memory_order_relaxed);
   writer.join();
@@ -513,29 +535,47 @@ TEST(ConcurrentResizeTest, ResizeUnderConcurrentReadersAndWriter) {
   EXPECT_GE(sketch.Query(42), 100000 - sketch.ShardConfig().promotion_threshold);
 }
 
-TEST(ConcurrentResizeTest, ProvenanceCountersAndStats) {
+TEST(ConcurrentResizeTest, IncompatibleResizeLeavesShardsUntouched) {
   ConcurrentDaVinci sketch(2, 64 * 1024, kSketchSeed);
   for (uint32_t key = 0; key < 5000; ++key) sketch.Insert(key, 1);
-
-  // Incompatible geometry: rejected without touching the shards.
+  std::ostringstream before, after;
+  sketch.SaveShards(before, SketchFormat::kFlat);
   EXPECT_FALSE(
       sketch.Resize(DaVinciConfig::FromMemory(64 * 1024, kSketchSeed + 1)));
-  size_t before = sketch.MemoryBytes();
-  EXPECT_TRUE(sketch.Resize(DaVinciConfig::FromMemory(64 * 1024, kSketchSeed),
-                            obs::ResizeHealth::kAutotune));
+  sketch.SaveShards(after, SketchFormat::kFlat);
+  EXPECT_EQ(after.str(), before.str());
+}
 
-  obs::ResizeHealth resize = sketch.ResizeProvenance();
-  EXPECT_EQ(resize.applied, 1u);
-  EXPECT_EQ(resize.rejected, 1u);
-  EXPECT_EQ(resize.bytes_before, before);
-  EXPECT_EQ(resize.bytes_after, sketch.MemoryBytes());
-  EXPECT_EQ(resize.last_trigger, obs::ResizeHealth::kAutotune);
+// The tenant owns the one resize record: bound and quota refusals count as
+// rejected, and the footprint is the engine's around the swap.
+TEST(TenantResizeTest, ProvenanceCountersAndStats) {
+  server::TenantOptions options;
+  options.shards = 2;
+  options.total_bytes = 64 * 1024;
+  options.seed = kSketchSeed;
+  options.max_bytes = 256 * 1024;
+  server::Tenant tenant("t", options);
+  for (uint32_t key = 0; key < 5000; ++key) tenant.Insert(key, 1);
+
+  using Outcome = server::Tenant::ResizeOutcome;
+  EXPECT_EQ(tenant.Resize(512), Outcome::kBadArgument);
+  EXPECT_EQ(tenant.Resize(512 * 1024), Outcome::kQuotaExceeded);
+  const uint64_t before = tenant.engine().MemoryBytes();
+  EXPECT_EQ(tenant.Resize(128 * 1024), Outcome::kOk);
 
   obs::HealthSnapshot health;
-  sketch.CollectStats(&health);
+  tenant.CollectStats(&health);
   EXPECT_EQ(health.resize.applied, 1u);
-  EXPECT_EQ(health.resize.rejected, 1u);
-  EXPECT_EQ(health.resize.last_trigger, obs::ResizeHealth::kAutotune);
+  EXPECT_EQ(health.resize.rejected, 2u);
+  EXPECT_EQ(health.resize.bytes_before, before);
+  EXPECT_EQ(health.resize.bytes_after, tenant.engine().MemoryBytes());
+  EXPECT_GT(health.resize.bytes_after, health.resize.bytes_before);
+  EXPECT_EQ(health.resize.last_trigger, obs::ResizeHealth::kAdmin);
+
+  std::ostringstream json;
+  health.WriteJson(json);
+  EXPECT_NE(json.str().find("\"resize\":{\"applied\":1,\"rejected\":2"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------
@@ -658,35 +698,6 @@ TEST(AutotuneControllerTest, ProposalAppliesThroughResize) {
   ASSERT_TRUE(sketch.Resize(*proposal));
   sketch.CheckInvariants(InvariantMode::kAdditive);
   EXPECT_TRUE(Identical(sketch.config(), *proposal));
-}
-
-// ---------------------------------------------------------------------
-// ResizeHealth provenance: shard aggregation and the JSON surface.
-// ---------------------------------------------------------------------
-
-TEST(ResizeHealthTest, AccumulateKeepsLatestSwapAndSumsCounters) {
-  obs::HealthSnapshot a, b;
-  a.resize.applied = 1;
-  a.resize.rejected = 2;
-  a.resize.bytes_before = 100;
-  a.resize.bytes_after = 200;
-  a.resize.last_trigger = obs::ResizeHealth::kAdmin;
-  b.resize.applied = 3;
-  b.resize.rejected = 1;
-  b.resize.bytes_before = 300;
-  b.resize.bytes_after = 400;
-  b.resize.last_trigger = obs::ResizeHealth::kAutotune;
-  a.Accumulate(b);
-  EXPECT_EQ(a.resize.applied, 4u);
-  EXPECT_EQ(a.resize.rejected, 3u);
-  EXPECT_EQ(a.resize.bytes_before, 300u);
-  EXPECT_EQ(a.resize.bytes_after, 400u);
-  EXPECT_EQ(a.resize.last_trigger, obs::ResizeHealth::kAutotune);
-
-  std::ostringstream json;
-  a.WriteJson(json);
-  EXPECT_NE(json.str().find("\"resize\":{\"applied\":4,\"rejected\":3"),
-            std::string::npos);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "core/concurrent_davinci.h"
 #include "obs/health.h"
 #include "server/client.h"
+#include "server/dispatcher.h"
 #include "server/server.h"
 #include "test_seed.h"
 #include "workload/trace.h"
@@ -246,6 +248,14 @@ TEST_F(ServerTest, WindowedTenantHeavyChangers) {
   ASSERT_NE(tenant, nullptr);
   EXPECT_EQ(wire_pairs, tenant->WindowHeavyChangers(500));
   EXPECT_FALSE(wire_pairs.empty());
+
+  // kHealth reports the engine's counters: the window is neither extra
+  // shards nor a second count of the same inserts.
+  HealthReply health;
+  ASSERT_EQ(client_.Health("w", &health), StatusCode::kOk);
+  EXPECT_EQ(health.shards, kShards);
+  EXPECT_EQ(health.inserts, obs::kStatsEnabled ? 4000u : 0u);
+  EXPECT_TRUE(health.windowed);
 
   // A window query against an unwindowed tenant is a usage error, not
   // silence.
@@ -532,6 +542,107 @@ TEST_F(ServerTest, PipelinedExportsLargerThanTheSocketBufferArriveWhole) {
     EXPECT_TRUE(response == lone[i % 2]) << "reply " << i << " differs";
   }
   EXPECT_EQ(client_.Ping(), StatusCode::kOk);
+}
+
+// A resize racing an import or an export of the same tenant, driven
+// through an in-process dispatcher: the tenant mutex serializes them, so
+// no import reaches the core's mixed-geometry abort and no export carries
+// shards of two geometries. Bounded by iteration count, not time.
+class DispatcherRaceTest : public ::testing::Test {
+ protected:
+  std::string Call(const std::string& body) {
+    return dispatcher_.Handle(std::span<const uint8_t>(
+        reinterpret_cast<const uint8_t*>(body.data()), body.size()));
+  }
+  static WireWriter Request(Op op, const std::string& name) {
+    WireWriter writer;
+    writer.U8(kProtocolVersion);
+    writer.U8(static_cast<uint8_t>(op));
+    writer.Str(name);
+    return writer;
+  }
+  StatusCode Create(const std::string& name, uint64_t bytes) {
+    WireWriter writer = Request(Op::kCreateTenant, name);
+    writer.U32(4);
+    writer.U64(bytes);
+    writer.U64(/*seed=*/5);
+    writer.U32(/*window_epochs=*/0);
+    writer.U64(/*max_bytes=*/0);
+    return Client::ParseStatus(Call(writer.Take()));
+  }
+  // kExportSketch (DVSZ); returns the reply body.
+  std::string Export(const std::string& name) {
+    WireWriter writer = Request(Op::kExportSketch, name);
+    writer.U8(static_cast<uint8_t>(SketchFormat::kCompressed));
+    return Call(writer.Take());
+  }
+  // The shard image inside a kOk kExportSketch reply.
+  static bool ExportedImage(const std::string& reply, std::string* image) {
+    WireReader reader(std::span<const uint8_t>(
+        reinterpret_cast<const uint8_t*>(reply.data()), reply.size()));
+    uint8_t status = 0;
+    uint32_t height = 0;
+    return reader.U8(&status) &&
+           status == static_cast<uint8_t>(StatusCode::kOk) &&
+           reader.U32(&height) && reader.Blob(image) && reader.Done();
+  }
+
+  TenantRegistry registry_{""};
+  RequestDispatcher dispatcher_{&registry_};
+};
+
+TEST_F(DispatcherRaceTest, ResizeRacingImportOrExportNeverMixesGeometry) {
+  constexpr uint64_t kMiB = 1 << 20;
+  constexpr int kResizes = 40;
+  constexpr int kRounds = 30;
+  ASSERT_EQ(Create("tgt", kMiB), StatusCode::kOk);
+  ASSERT_EQ(Create("src1", kMiB), StatusCode::kOk);
+  ASSERT_EQ(Create("src2", 2 * kMiB), StatusCode::kOk);
+  std::vector<uint32_t> keys(4000);
+  for (uint32_t i = 0; i < keys.size(); ++i) keys[i] = i % 700;
+  for (const char* name : {"tgt", "src1", "src2"}) {
+    WireWriter writer = Request(Op::kInsertBatch, name);
+    writer.Keys(keys);
+    writer.Counts({});
+    ASSERT_EQ(Client::ParseStatus(Call(writer.Take())), StatusCode::kOk);
+  }
+  std::string images[2];
+  ASSERT_TRUE(ExportedImage(Export("src1"), &images[0]));
+  ASSERT_TRUE(ExportedImage(Export("src2"), &images[1]));
+  std::shared_ptr<Tenant> target = registry_.Find("tgt");
+  ASSERT_NE(target, nullptr);
+
+  std::thread resizer([&] {
+    for (int i = 0; i < kResizes; ++i) {
+      WireWriter writer = Request(Op::kResizeTenant, "tgt");
+      writer.U64(i % 2 == 0 ? 2 * kMiB : kMiB);
+      EXPECT_EQ(Client::ParseStatus(Call(writer.Take())), StatusCode::kOk);
+    }
+  });
+  int mixed_exports = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    for (const std::string& image : images) {
+      WireWriter writer = Request(Op::kImportMerge, "tgt");
+      writer.U32(1);
+      writer.U32(/*height=*/0);
+      writer.Blob(image);
+      StatusCode status = Client::ParseStatus(Call(writer.Take()));
+      EXPECT_TRUE(status == StatusCode::kOk ||
+                  status == StatusCode::kBadArgument)
+          << static_cast<int>(status);
+    }
+    std::string image;
+    ASSERT_TRUE(ExportedImage(Export("tgt"), &image));
+    std::istringstream in(image);
+    std::vector<DaVinciSketch> shards;
+    if (!target->engine().ParseShardImage(in, &shards,
+                                          /*match_live_geometry=*/false)) {
+      ++mixed_exports;
+    }
+  }
+  resizer.join();
+  EXPECT_EQ(mixed_exports, 0) << "of " << kRounds << " exports";
+  target->engine().CheckInvariants(InvariantMode::kAdditive);
 }
 
 }  // namespace

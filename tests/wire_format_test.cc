@@ -435,6 +435,23 @@ TEST_F(MergeTreeTest, ImportValidationFailuresLeaveTargetUntouched) {
     EXPECT_EQ(client_.Ping(), server::StatusCode::kOk);
   }
 
+  // A source height of UINT32_MAX would wrap the target's height to 0: the
+  // request is refused before the (valid) image is applied.
+  {
+    server::Client::ExportedSketch before, after;
+    ASSERT_EQ(client_.ExportSketch("tgt", 0, &before),
+              server::StatusCode::kOk);
+    server::Client::ExportedSketch towering = good;
+    towering.height = UINT32_MAX;
+    std::vector<server::Client::ExportedSketch> wrap{towering};
+    EXPECT_EQ(client_.ImportMerge("tgt", wrap, nullptr),
+              server::StatusCode::kBadArgument);
+    ASSERT_EQ(client_.ExportSketch("tgt", 0, &after),
+              server::StatusCode::kOk);
+    EXPECT_EQ(after.image, before.image);
+    EXPECT_EQ(after.height, 0u);
+  }
+
   // Trailing junk after a valid image.
   server::Client::ExportedSketch padded = good;
   padded.image += '\0';
