@@ -39,30 +39,6 @@ DaVinciSketch::DaVinciSketch(const DaVinciConfig& config)
 DaVinciSketch::DaVinciSketch(size_t bytes, uint64_t seed)
     : DaVinciSketch(DaVinciConfig::FromMemory(bytes, seed)) {}
 
-// Memberwise except decode_cache_, which stays cold: the cache is the one
-// member a shared SketchView still writes (under its once-cell) after
-// publication, so reading other.decode_cache_ here would race that lazy
-// decode (davinci_sketch.h documents the contract).
-DaVinciSketch::DaVinciSketch(const DaVinciSketch& other)
-    : config_(other.config_),
-      fp_(other.fp_),
-      ef_(other.ef_),
-      ifp_(other.ifp_),
-      inserts_(other.inserts_),
-      queries_(other.queries_) {}
-
-DaVinciSketch& DaVinciSketch::operator=(const DaVinciSketch& other) {
-  if (this == &other) return *this;
-  config_ = other.config_;
-  fp_ = other.fp_;
-  ef_ = other.ef_;
-  ifp_ = other.ifp_;
-  decode_cache_.reset();
-  inserts_ = other.inserts_;
-  queries_ = other.queries_;
-  return *this;
-}
-
 size_t DaVinciSketch::MemoryBytes() const {
   return fp_.MemoryBytes() + ef_.MemoryBytes() + ifp_.MemoryBytes();
 }
@@ -85,7 +61,7 @@ void DaVinciSketch::RouteToFilterWithHash(uint32_t key, uint64_t base_hash,
 }
 
 void DaVinciSketch::Insert(uint32_t key, int64_t count) {
-  InvalidateDecodeCache();
+  decode_.Reset();
   inserts_.Inc();
   uint64_t base_hash = HashFamily::BaseHash(key);
   FrequentPart::InsertResult result = fp_.InsertWithHash(key, base_hash, count);
@@ -104,7 +80,7 @@ void DaVinciSketch::InsertBatch(std::span<const uint32_t> keys,
                                 std::span<const int64_t> counts) {
   DAVINCI_DCHECK_EQ(keys.size(), counts.size());
   if (keys.empty()) return;
-  InvalidateDecodeCache();
+  decode_.Reset();
   inserts_.Inc(keys.size());
 
   // Double-buffered stage A state: while block k is applied (stages B/C),
@@ -185,17 +161,36 @@ void DaVinciSketch::InsertBatch(std::span<const uint32_t> keys) {
   }
 }
 
+template <typename Decode>
+const DaVinciSketch::FlowMap& DaVinciSketch::DecodeCache::Get(
+    Decode decode) const {
+  if (!ready_.load(std::memory_order_acquire)) {
+    MutexLock lock(&mu_);
+    if (!filled_) {
+      map_ = std::make_shared<const FlowMap>(decode());
+      filled_ = true;
+      ready_.store(true, std::memory_order_release);
+    }
+  }
+  return *map_;
+}
+
+void DaVinciSketch::DecodeCache::Set(std::shared_ptr<const FlowMap> map) {
+  MutexLock lock(&mu_);
+  filled_ = map != nullptr;
+  map_ = std::move(map);
+  ready_.store(filled_, std::memory_order_release);
+}
+
 const std::unordered_map<uint32_t, int64_t>& DaVinciSketch::DecodedFlows()
     const {
-  if (decode_cache_ == nullptr) {
+  return decode_.Get([this] {
     InfrequentPart::DecodeOptions options;
     options.num_threads = config_.decode_threads;
     options.min_buckets_per_worker = config_.decode_min_buckets_per_worker;
-    decode_cache_ = std::make_shared<const std::unordered_map<uint32_t, int64_t>>(
-        ifp_.Decode(config_.decode_cross_validation ? &ef_ : nullptr,
-                    options));
-  }
-  return *decode_cache_;
+    return ifp_.Decode(config_.decode_cross_validation ? &ef_ : nullptr,
+                       options);
+  });
 }
 
 int64_t DaVinciSketch::ResolveQuery(uint32_t key, uint64_t base_hash,
@@ -404,7 +399,7 @@ double DaVinciSketch::EstimateEntropy() const {
 
 void DaVinciSketch::Combine(const DaVinciSketch& other, bool subtract) {
   CheckIdenticalGeometry(config_, other.config_);
-  InvalidateDecodeCache();
+  decode_.Reset();
 
   // Phase 1 — FP merge (Algorithm 3), while both element filters are still
   // in their pre-merge state so taint can be decided per entry. Evictees
@@ -532,8 +527,8 @@ void DaVinciSketch::CheckInvariants(InvariantMode mode) const {
   fp_.CheckInvariants(mode);
   ef_.CheckInvariants(mode);
   ifp_.CheckInvariants(mode);
-  if (decode_cache_ != nullptr) {
-    for (const auto& [key, count] : *decode_cache_) {
+  if (const auto decoded = decode_.Published()) {
+    for (const auto& [key, count] : *decoded) {
       DAVINCI_CHECK_MSG(count != 0,
                         "decode cache holds zero-count flow " +
                             std::to_string(key));
@@ -688,55 +683,8 @@ bool DaVinciSketch::Resize(const DaVinciConfig& new_config) {
 
 std::shared_ptr<const SketchView> DaVinciSketch::Snapshot() const {
   // The DaVinciSketch copy here is O(parts), not O(counters): each part's
-  // flat storage is CoW-shared. The view starts with a cold decode cache
-  // (the copy constructor never propagates it) and materializes its own
-  // through Decoded()'s once-cell on first demand.
+  // flat storage is CoW-shared, and so is a published decode map.
   return std::make_shared<const SketchView>(*this);
-}
-
-void SketchView::Decoded() const {
-  // call_once semantics, spelled out so Thread Safety Analysis can check
-  // it: winners fill under decode_mu_ and release-publish decode_ready_;
-  // losers of the race serialize on the mutex, see decode_filled_, and
-  // skip the decode. Readers that arrive later take only the fence-free
-  // fast path. (std::once_flag is opaque to the analysis.)
-  if (decode_ready_.load(std::memory_order_acquire)) return;
-  MutexLock lock(&decode_mu_);
-  if (!decode_filled_) {
-    (void)sketch_.DecodedFlows();
-    decode_filled_ = true;
-    decode_ready_.store(true, std::memory_order_release);
-  }
-}
-
-int64_t SketchView::Query(uint32_t key) const {
-  sketch_.queries_.Inc();
-  uint64_t base_hash = HashFamily::BaseHash(key);
-  bool tainted = false;
-  int64_t fp_count =
-      sketch_.fp_.QueryWithBase(base_hash, key, &tainted);
-  if (fp_count != 0 && !tainted) {
-    return fp_count;  // exact — no decode, no shared mutable state touched
-  }
-  // The tail reads the decode cache; materialize it exactly once so the
-  // concurrent readers below only ever see a const map.
-  Decoded();
-  return sketch_.ResolveQuery(key, base_hash, fp_count, tainted);
-}
-
-std::vector<int64_t> SketchView::QueryBatch(
-    std::span<const uint32_t> keys) const {
-  // DaVinciSketch::QueryBatch materializes the decode cache up front; the
-  // once-cell here makes that materialization race-free across readers,
-  // after which the batch pipeline is a pure read.
-  Decoded();
-  return sketch_.QueryBatch(keys);
-}
-
-std::vector<std::pair<uint32_t, int64_t>> SketchView::HeavyHitters(
-    int64_t threshold) const {
-  Decoded();
-  return sketch_.HeavyHitters(threshold);
 }
 
 double DaVinciSketch::InnerProduct(const DaVinciSketch& a,

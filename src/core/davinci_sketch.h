@@ -73,16 +73,8 @@ class DaVinciSketch : public FrequencySketch, public HeavyHitterSketch {
   // 25/50/25 plan.
   DaVinciSketch(size_t bytes, uint64_t seed);
 
-  // Copies share the parts' CoW buffers in O(1) but start with a COLD
-  // decode cache: the cache pointer is the one member a shared SketchView
-  // still writes (under its once-cell) after publication, so a copy that
-  // read it would race the view's lazy decode. Nothing loses a warm cache
-  // in practice — every write path invalidates it anyway. Moves transfer
-  // the cache; they require exclusive ownership like any other mutation.
-  DaVinciSketch(const DaVinciSketch& other);
-  DaVinciSketch& operator=(const DaVinciSketch& other);
-  DaVinciSketch(DaVinciSketch&&) = default;
-  DaVinciSketch& operator=(DaVinciSketch&&) = default;
+  // Copies share the parts' CoW buffers and a published decode map in
+  // O(1); copying into *this needs exclusive access, like any write.
 
   std::string Name() const override { return "DaVinci"; }
   size_t MemoryBytes() const override;
@@ -214,13 +206,55 @@ class DaVinciSketch : public FrequencySketch, public HeavyHitterSketch {
   const FrequentPart& frequent_part() const { return fp_; }
   const ElementFilter& element_filter() const { return ef_; }
   const InfrequentPart& infrequent_part() const { return ifp_; }
-  // Cached full decode of the infrequent part (flow -> signed count).
+  // Cached full decode of the infrequent part (flow -> signed count). Safe
+  // from any number of concurrent const callers: the peel runs at most
+  // once per sketch state, and every caller gets the same map.
   const std::unordered_map<uint32_t, int64_t>& DecodedFlows() const;
 
  private:
-  // SketchView drives the FP-probe fast path + ResolveQuery tail directly
-  // (materializing the decode cache exactly once via its own once-cell).
-  friend class SketchView;
+  using FlowMap = std::unordered_map<uint32_t, int64_t>;
+
+  // The lazy IFP decode, written as an annotated double-checked once-cell
+  // (std::once_flag is opaque to Thread Safety Analysis, and this is the
+  // one lazy write behind a const sketch, so it is exactly the state the
+  // analysis must see). ready_ is the lock-free fast-path flag, published
+  // with release after the fill and checked with acquire; filled_ is the
+  // guarded source of truth that makes losers of the fill race skip the
+  // peel. map_ is written only under mu_, before ready_ is published or
+  // with exclusive access (Set), and read only after an acquire of ready_
+  // — by Get, and by a copy, which shares the published map.
+  class DecodeCache {
+   public:
+    DecodeCache() = default;
+    DecodeCache(const DecodeCache& other) noexcept {
+      Set(other.Published());
+    }
+    DecodeCache& operator=(const DecodeCache& other) noexcept {
+      Set(other.Published());
+      return *this;
+    }
+
+    // The published map, running `decode` first if there is none.
+    template <typename Decode>
+    const FlowMap& Get(Decode decode) const DAVINCI_EXCLUDES(mu_);
+    // The published map, or null; never decodes.
+    std::shared_ptr<const FlowMap> Published() const {
+      return ready_.load(std::memory_order_acquire) ? map_ : nullptr;
+    }
+    // Drops this cell's map; copies keep theirs.
+    void Reset() DAVINCI_EXCLUDES(mu_) {
+      if (ready_.load(std::memory_order_relaxed)) Set(nullptr);
+    }
+
+   private:
+    // Needs exclusive access to *this, like every write to the sketch.
+    void Set(std::shared_ptr<const FlowMap> map) DAVINCI_EXCLUDES(mu_);
+
+    mutable Mutex mu_;
+    mutable std::atomic<bool> ready_{false};
+    mutable bool filled_ DAVINCI_GUARDED_BY(mu_) = false;
+    mutable std::shared_ptr<const FlowMap> map_;
+  };
 
   // Shared tail of Query/QueryBatch: combines an already-computed FP probe
   // result with the EF/IFP shares per Algorithm 4. `base_hash` must equal
@@ -234,18 +268,13 @@ class DaVinciSketch : public FrequencySketch, public HeavyHitterSketch {
   void RouteToFilterWithHash(uint32_t key, uint64_t base_hash, int64_t count);
   // Shared implementation of Merge/Subtract.
   void Combine(const DaVinciSketch& other, bool subtract);
-  void InvalidateDecodeCache() { decode_cache_.reset(); }
 
   DaVinciConfig config_;
   FrequentPart fp_;
   ElementFilter ef_;
   InfrequentPart ifp_;
-  // Per-instance immutable decode cache, built lazily by DecodedFlows().
-  // Deliberately NOT propagated by copies (see the copy constructor): a
-  // published SketchView fills it under its once-cell while other threads
-  // may be copying the view's sketch, so copies must not read it.
-  mutable std::shared_ptr<const std::unordered_map<uint32_t, int64_t>>
-      decode_cache_;
+  // Filled by DecodedFlows(); every write path Reset()s it.
+  DecodeCache decode_;
 
   // Telemetry (no-ops unless built with DAVINCI_STATS); queries_ is
   // mutable because Query() is const, and relaxed-atomic because snapshot
@@ -254,29 +283,32 @@ class DaVinciSketch : public FrequencySketch, public HeavyHitterSketch {
   mutable obs::SharedEventCounter queries_;
 };
 
-// An immutable, internally-synchronized view of a DaVinciSketch, produced
-// by DaVinciSketch::Snapshot(). The view owns a CoW copy of the sketch:
+// An immutable view of a DaVinciSketch, produced by
+// DaVinciSketch::Snapshot(). The view owns a CoW copy of the sketch:
 // buffers stay shared with the live sketch until the live side writes, so
 // the view's answers are frozen at snapshot time ("bit-stable") no matter
 // what the writer does afterwards.
 //
 // Thread safety: every method is safe to call concurrently from any number
-// of threads. The only lazily-built state — the IFP decode cache — is
-// materialized through an annotated double-checked once-cell (Decoded());
-// the pure FP fast path never waits on it, so point queries that the
-// frequent part settles stay decode-free.
+// of threads, because every const method of the sketch is; the one lazily
+// built piece of state, the IFP decode, is the sketch's own once-cell.
+// Point queries that the frequent part settles never touch it.
 class SketchView {
  public:
   explicit SketchView(const DaVinciSketch& sketch) : sketch_(sketch) {}
   SketchView(const SketchView&) = delete;
   SketchView& operator=(const SketchView&) = delete;
 
-  int64_t Query(uint32_t key) const;
-  std::vector<int64_t> QueryBatch(std::span<const uint32_t> keys) const;
+  int64_t Query(uint32_t key) const { return sketch_.Query(key); }
+  std::vector<int64_t> QueryBatch(std::span<const uint32_t> keys) const {
+    return sketch_.QueryBatch(keys);
+  }
   // Pure read over the EF bottom level + FP entries; never decodes.
   double EstimateCardinality() const { return sketch_.EstimateCardinality(); }
   std::vector<std::pair<uint32_t, int64_t>> HeavyHitters(
-      int64_t threshold) const;
+      int64_t threshold) const {
+    return sketch_.HeavyHitters(threshold);
+  }
 
   // The frozen sketch itself, for merged-task queries (Merge a copy,
   // InnerProduct, Save, ...). Callers must treat it as const.
@@ -285,22 +317,7 @@ class SketchView {
   size_t MemoryBytes() const { return sketch_.MemoryBytes(); }
 
  private:
-  // Materializes the decode cache exactly once (thread-safe); afterwards
-  // every DecodedFlows() call inside the query tail is a const read.
-  // call_once-equivalent, but written as an annotated double-checked
-  // once-cell: std::once_flag is opaque to Thread Safety Analysis, and
-  // this is the one lazy write behind the "immutable" view, so it is
-  // exactly the state the analysis must see (EXCLUDES catches a Decoded()
-  // call from a context already holding the fill lock).
-  void Decoded() const DAVINCI_EXCLUDES(decode_mu_);
-
-  DaVinciSketch sketch_;
-  // decode_ready_ is the lock-free fast-path flag (release-published after
-  // the fill, acquire-checked by readers); decode_filled_ is the guarded
-  // source of truth that makes losers of the fill race skip the decode.
-  mutable Mutex decode_mu_;
-  mutable std::atomic<bool> decode_ready_{false};
-  mutable bool decode_filled_ DAVINCI_GUARDED_BY(decode_mu_) = false;
+  const DaVinciSketch sketch_;
 };
 
 }  // namespace davinci

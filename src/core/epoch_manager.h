@@ -38,12 +38,13 @@
 //
 // Not internally synchronized: like DaVinciSketch, callers serialize
 // writes; wrap in ConcurrentDaVinci-style locking if needed. Concurrent
-// *const* queries against a quiescent manager are allowed, which is why
-// the one piece of state a const path mutates — the window_merge_hits_
-// telemetry tally — is a relaxed atomic (the PR 7 annotation audit found
-// the old `mutable uint64_t` racing itself under two concurrent window
-// queries; every other member is only touched by the externally-serialized
-// write path or read after it).
+// *const* queries against a quiescent manager are allowed. The state a
+// const path fills lazily is each epoch sketch's IFP decode, behind
+// DaVinciSketch's own once-cell, and the one state a const path mutates
+// here — the window_merge_hits_ telemetry tally — is a relaxed atomic;
+// every other member is only touched by the externally-serialized write
+// path or read after it (epoch_engine_test races const readers against
+// serial answers under the tsan preset).
 
 namespace davinci {
 

@@ -195,7 +195,7 @@ class FrequentPart {
   int64_t evict_lambda_;
   HashFamily hash_;
   std::shared_ptr<Storage> store_;
-  mutable uint64_t accesses_ = 0;
+  uint64_t accesses_ = 0;
 
   // Telemetry (no-ops unless built with DAVINCI_STATS).
   struct Counters {

@@ -195,14 +195,14 @@ class InfrequentPart {
   std::vector<HashFamily> hashes_;
   std::vector<SignHash> signs_;
   std::shared_ptr<Storage> store_;
-  mutable uint64_t accesses_ = 0;
+  uint64_t accesses_ = 0;
 
   // Telemetry (no-ops unless built with DAVINCI_STATS). Mutable: Decode()
   // is logically const but accounts its peeling outcomes. The decode
-  // tallies are SharedEventCounter because a published SketchView runs its
-  // lazy decode concurrently with other readers copying or inspecting the
-  // same part (DESIGN.md §10); `inserts` stays plain — writes happen only
-  // under the owner's synchronization.
+  // tallies are SharedEventCounter because a sketch's lazy decode runs
+  // concurrently with other readers copying or inspecting the same part
+  // (DESIGN.md §10); `inserts` stays plain — writes happen only under the
+  // owner's synchronization.
   struct Counters {
     obs::EventCounter inserts;
     obs::SharedEventCounter decode_runs;

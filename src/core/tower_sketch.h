@@ -169,7 +169,7 @@ class TowerSketch : public FrequencySketch {
 
   std::vector<Level> levels_;
   std::shared_ptr<Storage> store_;
-  mutable uint64_t accesses_ = 0;
+  uint64_t accesses_ = 0;
 };
 
 }  // namespace davinci

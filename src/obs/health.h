@@ -154,9 +154,8 @@ struct MergeTreeHealth {
 struct ResizeHealth {
   // What asked for the last applied resize.
   enum Trigger : uint32_t {
-    kNone = 0,      // never resized
-    kAdmin = 1,     // kResizeTenant / an explicit Resize call
-    kAutotune = 2,  // the continuous autotune controller
+    kNone = 0,   // never resized
+    kAdmin = 1,  // kResizeTenant / an explicit Resize call
   };
   uint64_t applied = 0;   // geometry swaps committed
   uint64_t rejected = 0;  // requests refused (incompatible geometry / quota)

@@ -27,7 +27,7 @@ struct HealthReply {
   bool windowed = false;
   // Merge-tree aggregation height (0 = pure raw-ingest leaf).
   uint32_t merge_height = 0;
-  // Resize provenance (kResizeTenant / autotune; survives DVCK recovery).
+  // Resize provenance (kResizeTenant; survives DVCK recovery).
   uint64_t resizes_applied = 0;
   uint64_t resizes_rejected = 0;
   uint64_t resize_bytes_before = 0;

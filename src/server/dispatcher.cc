@@ -1,6 +1,7 @@
 #include "server/dispatcher.h"
 
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "core/davinci_sketch.h"
@@ -432,28 +433,27 @@ std::string RequestDispatcher::WindowHeavyChangers(WireReader& reader) {
 namespace {
 
 struct TenantPair {
-  std::shared_ptr<Tenant> a;
-  std::shared_ptr<Tenant> b;
-  // Minimal placeholders (no default ctor); overwritten by SnapshotPair.
-  DaVinciSketch snap_a{8 * 1024, 0};
-  DaVinciSketch snap_b{8 * 1024, 0};
+  DaVinciSketch a;
+  DaVinciSketch b;
 };
 
+// Snapshots both tenants into *out; any status but kOk leaves it empty.
 StatusCode SnapshotPair(TenantRegistry* registry, const std::string& name_a,
-                        const std::string& name_b, TenantPair* out) {
-  out->a = registry->Find(name_a);
-  out->b = registry->Find(name_b);
-  if (!out->a || !out->b) return StatusCode::kNoSuchTenant;
-  out->snap_a = out->a->engine().Snapshot();
-  out->snap_b = out->b->engine().Snapshot();
+                        const std::string& name_b,
+                        std::optional<TenantPair>* out) {
+  std::shared_ptr<Tenant> tenant_a = registry->Find(name_a);
+  std::shared_ptr<Tenant> tenant_b = registry->Find(name_b);
+  if (!tenant_a || !tenant_b) return StatusCode::kNoSuchTenant;
+  TenantPair pair{tenant_a->engine().Snapshot(),
+                  tenant_b->engine().Snapshot()};
   // Cross-tenant linear ops need the kIdentical relation; two kResizable
   // tenants (same seed, different split) still answer kBadArgument — the
   // server never rebuilds a whole tenant to satisfy one query.
-  if (DaVinciConfig::GeometryCompatible(out->snap_a.config(),
-                                        out->snap_b.config()) !=
+  if (DaVinciConfig::GeometryCompatible(pair.a.config(), pair.b.config()) !=
       DaVinciConfig::GeometryRelation::kIdentical) {
     return StatusCode::kBadArgument;
   }
+  out->emplace(std::move(pair));
   return StatusCode::kOk;
 }
 
@@ -466,12 +466,12 @@ std::string RequestDispatcher::HeavyChangers(WireReader& reader) {
       !reader.Done()) {
     return StatusBody(StatusCode::kMalformed);
   }
-  TenantPair pair;
+  std::optional<TenantPair> pair;
   StatusCode status = SnapshotPair(registry_, name_a, name_b, &pair);
   if (status != StatusCode::kOk) return StatusBody(status);
   WireWriter writer;
   writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.Pairs(pair.snap_a.HeavyChangers(pair.snap_b, delta));
+  writer.Pairs(pair->a.HeavyChangers(pair->b, delta));
   return writer.Take();
 }
 
@@ -480,13 +480,13 @@ std::string RequestDispatcher::UnionCardinality(WireReader& reader) {
   if (!reader.Str(&name_a) || !reader.Str(&name_b) || !reader.Done()) {
     return StatusBody(StatusCode::kMalformed);
   }
-  TenantPair pair;
+  std::optional<TenantPair> pair;
   StatusCode status = SnapshotPair(registry_, name_a, name_b, &pair);
   if (status != StatusCode::kOk) return StatusBody(status);
-  pair.snap_a.Merge(pair.snap_b);
+  pair->a.Merge(pair->b);
   WireWriter writer;
   writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.F64(pair.snap_a.EstimateCardinality());
+  writer.F64(pair->a.EstimateCardinality());
   return writer.Take();
 }
 
@@ -497,11 +497,11 @@ std::string RequestDispatcher::DifferenceQuery(WireReader& reader) {
       !reader.Done()) {
     return StatusBody(StatusCode::kMalformed);
   }
-  TenantPair pair;
+  std::optional<TenantPair> pair;
   StatusCode status = SnapshotPair(registry_, name_a, name_b, &pair);
   if (status != StatusCode::kOk) return StatusBody(status);
-  pair.snap_a.Subtract(pair.snap_b);
-  std::vector<int64_t> answers = pair.snap_a.QueryBatch(keys);
+  pair->a.Subtract(pair->b);
+  std::vector<int64_t> answers = pair->a.QueryBatch(keys);
   WireWriter writer;
   writer.U8(static_cast<uint8_t>(StatusCode::kOk));
   writer.Counts(answers);
@@ -513,12 +513,12 @@ std::string RequestDispatcher::InnerProduct(WireReader& reader) {
   if (!reader.Str(&name_a) || !reader.Str(&name_b) || !reader.Done()) {
     return StatusBody(StatusCode::kMalformed);
   }
-  TenantPair pair;
+  std::optional<TenantPair> pair;
   StatusCode status = SnapshotPair(registry_, name_a, name_b, &pair);
   if (status != StatusCode::kOk) return StatusBody(status);
   WireWriter writer;
   writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.F64(DaVinciSketch::InnerProduct(pair.snap_a, pair.snap_b));
+  writer.F64(DaVinciSketch::InnerProduct(pair->a, pair->b));
   return writer.Take();
 }
 

@@ -191,15 +191,16 @@ TEST(ConcurrentStressTest, CrossMergeDoesNotDeadlock) {
   a.InsertBatch(std::span<const uint32_t>(ThreadKeys(0, 10000, 17)));
   b.InsertBatch(std::span<const uint32_t>(ThreadKeys(1, 10000, 17)));
 
-  std::vector<std::thread> threads;
-  threads.emplace_back([&] { a.Merge(b); });
-  threads.emplace_back([&] { b.Merge(a); });
-  threads.emplace_back([&a] {
-    for (uint32_t key : ThreadKeys(2, 5000, 17)) a.Insert(key);
-  });
-  threads.emplace_back([&b] {
-    for (uint32_t key : ThreadKeys(3, 5000, 17)) b.Insert(key);
-  });
+  std::thread threads[] = {
+      std::thread([&] { a.Merge(b); }),
+      std::thread([&] { b.Merge(a); }),
+      std::thread([&a] {
+        for (uint32_t key : ThreadKeys(2, 5000, 17)) a.Insert(key);
+      }),
+      std::thread([&b] {
+        for (uint32_t key : ThreadKeys(3, 5000, 17)) b.Insert(key);
+      }),
+  };
   for (std::thread& t : threads) t.join();
 
   a.CheckInvariants(InvariantMode::kAdditive);

@@ -3,10 +3,12 @@
 // EpochManager rotation/memoized-window machinery.
 // The tsan preset turns the racing sections into hard data-race checks.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <future>
+#include <map>
 #include <random>
 #include <span>
 #include <sstream>
@@ -343,6 +345,79 @@ TEST(EpochManagerTest, CollectStatsExposesEpochTelemetry) {
   snapshot.WriteJson(json);
   EXPECT_NE(json.str().find("\"epoch\":{\"window_epochs\":4"),
             std::string::npos);
+}
+
+// ---- concurrent const reads -----------------------------------------------
+
+// The IFP decode is the one piece of state a const DaVinciSketch fills
+// lazily. A quiesced EpochManager allows concurrent const queries, and a
+// shared const sketch allows every const task, so readers that race to
+// the first decode must neither race each other (the tsan preset turns
+// that into a hard failure) nor see answers other than the serial ones.
+TEST(EpochManagerTest, ConcurrentConstReadsMatchSerialAnswers) {
+  const uint64_t seed = testing::TestSeed(53);
+  DAVINCI_ANNOUNCE_SEED(seed);
+  // Counts up to 64 push medium flows past the filter into the IFP, so
+  // every epoch has a non-trivial decode.
+  auto fill = [](EpochManager* window) {
+    for (uint32_t e = 0; e < 3; ++e) {
+      for (uint32_t key : Keys(e * 100000 + 1, 6000, 600 + e)) {
+        window->Insert(key, 1 + key % 64);
+      }
+      if (e < 2) window->Advance();
+    }
+  };
+  EpochManager reference(3, 33 * 1024, seed);
+  EpochManager shared(3, 33 * 1024, seed);
+  fill(&reference);
+  fill(&shared);
+  ASSERT_EQ(shared.sealed_epochs(), 2u);
+
+  // Keys of the oldest epoch miss the FP of both newer epochs, and keys
+  // no epoch saw miss every FP, so each query reaches at least two
+  // decodes.
+  std::vector<uint32_t> keys = Keys(1, 400, 600);
+  for (uint32_t key : Keys(900001, 100, 700)) keys.push_back(key);
+  constexpr int64_t kThreshold = 200;
+
+  // Serial answers come from the twin window, so the shared one starts
+  // with every decode still to do.
+  std::vector<int64_t> expected_counts;
+  for (uint32_t key : keys) expected_counts.push_back(reference.Query(key));
+  const DaVinciSketch reference_merged = reference.MergedWindow();
+  auto expected_hitters = reference_merged.HeavyHitters(kThreshold);
+  std::sort(expected_hitters.begin(), expected_hitters.end());
+  const std::map<int64_t, int64_t> expected_distribution =
+      reference_merged.Distribution();
+  ASSERT_FALSE(expected_hitters.empty());
+
+  const DaVinciSketch merged = shared.MergedWindow();
+  std::promise<void> go;
+  const std::shared_future<void> start = go.get_future().share();
+  auto query_all = [&, start] {
+    start.wait();
+    std::vector<int64_t> counts;
+    for (uint32_t key : keys) counts.push_back(shared.Query(key));
+    return counts;
+  };
+  auto hitters = std::async(std::launch::async, [&, start] {
+    start.wait();
+    auto found = merged.HeavyHitters(kThreshold);
+    std::sort(found.begin(), found.end());
+    return found;
+  });
+  auto distribution = std::async(std::launch::async, [&, start] {
+    start.wait();
+    return merged.Distribution();
+  });
+  auto counts_a = std::async(std::launch::async, query_all);
+  auto counts_b = std::async(std::launch::async, query_all);
+  go.set_value();
+
+  EXPECT_EQ(counts_a.get(), expected_counts);
+  EXPECT_EQ(counts_b.get(), expected_counts);
+  EXPECT_EQ(hitters.get(), expected_hitters);
+  EXPECT_EQ(distribution.get(), expected_distribution);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -153,6 +154,49 @@ TEST(DaVinciSketchStatsTest, SnapshotReflectsStreamAndBuildMode) {
                             "\"ifp\"", "\"occupancy\"", "\"levels\""}) {
     EXPECT_NE(json.find(field), std::string::npos) << field << " in " << json;
   }
+}
+
+TEST(DaVinciSketchStatsTest, CopiesShareThePublishedDecode) {
+  DaVinciSketch original(64 * 1024, 15);
+  for (uint32_t i = 0; i < 20000; ++i) original.Insert(i % 1500, 1 + i % 7);
+  auto decode_runs = [](const DaVinciSketch& sketch) {
+    obs::HealthSnapshot snapshot;
+    sketch.CollectStats(&snapshot);
+    return snapshot.ifp.decode_runs;
+  };
+  std::vector<uint32_t> keys;
+  for (uint32_t key = 0; key < 1600; ++key) keys.push_back(key);
+
+  const auto& decoded = original.DecodedFlows();
+  ASSERT_FALSE(decoded.empty());
+  const std::vector<int64_t> counts = original.QueryBatch(keys);
+  const auto hitters = original.HeavyHitters(100);
+  const auto distribution = original.Distribution();
+  EXPECT_EQ(decode_runs(original), IfEnabled(1));
+
+  // Copies, assignments and snapshots taken after the decode share its
+  // map and answer bit-identically without a second peel (the IFP tally
+  // travels with the copied part, so 1 means "no peel of its own").
+  DaVinciSketch copy = original;
+  DaVinciSketch assigned(64 * 1024, 15);
+  assigned = original;
+  const auto view = original.Snapshot();
+  const DaVinciSketch* sharers[] = {&copy, &assigned, &view->sketch()};
+  for (const DaVinciSketch* sketch : sharers) {
+    EXPECT_EQ(&sketch->DecodedFlows(), &decoded);
+    EXPECT_EQ(sketch->QueryBatch(keys), counts);
+    EXPECT_EQ(sketch->HeavyHitters(100), hitters);
+    EXPECT_EQ(sketch->Distribution(), distribution);
+    EXPECT_EQ(decode_runs(*sketch), IfEnabled(1));
+  }
+
+  // A write to the copy drops only the copy's map.
+  copy.Insert(1600, 5000);
+  EXPECT_EQ(&original.DecodedFlows(), &decoded);
+  EXPECT_EQ(original.QueryBatch(keys), counts);
+  EXPECT_EQ(decode_runs(original), IfEnabled(1));
+  (void)copy.DecodedFlows();
+  EXPECT_EQ(decode_runs(copy), IfEnabled(2));
 }
 
 TEST(ConcurrentDaVinciStatsTest, AggregatesAcrossShards) {
