@@ -334,8 +334,9 @@ void WriteQueryKernelsJson() {
 }
 
 // Direct timings for BENCH_epoch_engine.json: snapshot acquisition cost,
-// CoW clone tallies, epoch rotation rate, memoized window-merge reuse and
-// RCU read throughput with and without a racing writer.
+// CoW clone tallies, epoch rotation rate, memoized window-merge and
+// merged-snapshot reuse and RCU read throughput with and without a racing
+// writer.
 void WriteEpochEngineJson() {
   davinci::bench::BenchJson json("epoch_engine");
   const auto& keys = Keys();
@@ -431,6 +432,11 @@ void WriteEpochEngineJson() {
                   writer_ops.load(std::memory_order_relaxed),
                   contended_window));
   shared.FlushViews();
+  // Two merged snapshots of the flushed, quiesced engine: the second is
+  // served from the memo the first one built.
+  benchmark::DoNotOptimize(shared.Snapshot());
+  benchmark::DoNotOptimize(shared.Snapshot());
+  json.Count("snapshot_reuse_hits", shared.snapshot_reuse_hits());
 
   // Whole-system mixed read/write scaling: one writer thread streaming
   // Inserts (publishing every kPublishInterval) against 1/2/4/8 reader

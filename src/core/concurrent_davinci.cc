@@ -166,8 +166,21 @@ std::vector<std::shared_ptr<const SketchView>> ConcurrentDaVinci::SnapshotAll()
   return views;
 }
 
-DaVinciSketch ConcurrentDaVinci::Snapshot() const {
+std::shared_ptr<const DaVinciSketch> ConcurrentDaVinci::SharedSnapshot()
+    const {
   std::vector<std::shared_ptr<const SketchView>> views = SnapshotAll();
+  std::shared_ptr<const SnapshotMemo> memo =
+      snapshot_memo_.load(std::memory_order_acquire);
+  if (memo != nullptr &&
+      std::equal(views.begin(), views.end(), memo->views.begin(),
+                 memo->views.end(),
+                 [](const std::shared_ptr<const SketchView>& view,
+                    const std::weak_ptr<const SketchView>& key) {
+                   return key.lock() == view;
+                 })) {
+    snapshot_reuse_hits_.fetch_add(1, std::memory_order_relaxed);
+    return memo->merged;
+  }
   // The copy shares the first view's CoW buffers; Merge then clones what
   // it mutates. The views pin their state, so no locks are needed.
   DaVinciSketch merged = views[0]->sketch();
@@ -186,8 +199,18 @@ DaVinciSketch ConcurrentDaVinci::Snapshot() const {
       merged.Merge(shard_sketch);
     }
   }
-  return merged;
+  snapshot_merges_.fetch_add(1, std::memory_order_relaxed);
+  auto shared = std::make_shared<const DaVinciSketch>(std::move(merged));
+  snapshot_memo_.store(
+      std::make_shared<const SnapshotMemo>(SnapshotMemo{
+          std::vector<std::weak_ptr<const SketchView>>(views.begin(),
+                                                       views.end()),
+          shared}),
+      std::memory_order_release);
+  return shared;
 }
+
+DaVinciSketch ConcurrentDaVinci::Snapshot() const { return *SharedSnapshot(); }
 
 DaVinciConfig ConcurrentDaVinci::ShardConfig() const {
   return shards_[0].view.load(std::memory_order_acquire)->sketch().config();
@@ -221,6 +244,8 @@ void ConcurrentDaVinci::CollectStats(obs::HealthSnapshot* out) const {
     out->Accumulate(one);
   }
   out->tuning.publish_interval = publish_interval();
+  out->snapshot_merges = snapshot_merges();
+  out->snapshot_reuse_hits = snapshot_reuse_hits();
 }
 
 void ConcurrentDaVinci::SaveShards(std::ostream& out,

@@ -38,15 +38,17 @@
 // Nth mutation per shard instead, which bounds the dominant write-side
 // cost under concurrent readers — each publish leaves a view sharing the
 // live sketch's CoW buffers, so the *next* mutation re-clones them
-// (~200KB/publish at default geometry). Readers then serve a view at most
-// N-1 mutations stale; FlushViews() force-publishes any shard with
-// unpublished writes (call after quiescing writers to make reads exact
-// again). Staleness only ever hides suffixes of the write stream — a view
-// is always a prefix-consistent image of its shard.
+// (about 0.8 MB per shard at 1 MiB over 4 shards). Readers then serve a
+// view at most N-1 mutations stale; FlushViews() force-publishes any shard
+// with unpublished writes (call after quiescing writers to make reads
+// exact again). Staleness only ever hides suffixes of the write stream — a
+// view is always a prefix-consistent image of its shard.
 //
 // Aggregate queries either sum per-shard answers (cardinality, frequency)
-// or operate on a merged snapshot (the remaining tasks). The shards share
-// seeds, so snapshots of two ConcurrentDaVinci instances remain mergeable.
+// or operate on a merged snapshot (the remaining tasks). The merged
+// snapshot is built once per published state and shared until a write
+// publishes a new view (SharedSnapshot). The shards share seeds, so
+// snapshots of two ConcurrentDaVinci instances remain mergeable.
 
 namespace davinci {
 
@@ -114,13 +116,32 @@ class ConcurrentDaVinci {
   // merged-task queries (union, inner product, ...).
   std::vector<std::shared_ptr<const SketchView>> SnapshotAll() const;
 
-  // A single merged sketch built from SnapshotAll() — lock-free (shards
+  // The single merged sketch of SnapshotAll() — lock-free (shards
   // hash-partition the key space, so the merge sees each flow once).
   // During a Resize transient the published views briefly span two
   // geometries; a view that disagrees with the first shard's is rebuilt
   // through DaVinciSketch::Resize before merging, so the snapshot stays
   // servable mid-swap.
+  //
+  // Memoized per published state: the merge is kept together with weak
+  // references to the views it was folded from, and returned again while
+  // every shard still publishes exactly those views. Any write publishes
+  // a new view, so it invalidates the memo with no write-side work. No
+  // lock is held across the merge: readers that miss at the same time
+  // each merge, and the last to store wins. The shared sketch, its IFP
+  // decode included, is safe to read from any number of threads.
+  std::shared_ptr<const DaVinciSketch> SharedSnapshot() const;
+  // `*SharedSnapshot()`: an O(1) copy sharing the memo's CoW buffers.
   DaVinciSketch Snapshot() const;
+
+  // SharedSnapshot telemetry (relaxed, live in every build): merges
+  // performed, and calls answered from the memo without one.
+  uint64_t snapshot_merges() const {
+    return snapshot_merges_.load(std::memory_order_relaxed);
+  }
+  uint64_t snapshot_reuse_hits() const {
+    return snapshot_reuse_hits_.load(std::memory_order_relaxed);
+  }
 
   // ---- dynamic geometry (DESIGN.md §12) ----
   // Rebuilds every shard's live sketch into `per_shard_config`, one shard
@@ -251,9 +272,20 @@ class ConcurrentDaVinci {
       Publish(shard);
   }
 
+  // SharedSnapshot's memo. The key is weak: it neither pins retired
+  // views' buffers nor matches a new view that reuses a freed one's
+  // address, because lock() on an expired reference yields null.
+  struct SnapshotMemo {
+    std::vector<std::weak_ptr<const SketchView>> views;
+    std::shared_ptr<const DaVinciSketch> merged;
+  };
+
   HashFamily shard_hash_;
   std::vector<Shard> shards_;
   std::atomic<size_t> publish_interval_{1};
+  mutable std::atomic<std::shared_ptr<const SnapshotMemo>> snapshot_memo_;
+  mutable std::atomic<uint64_t> snapshot_merges_{0};
+  mutable std::atomic<uint64_t> snapshot_reuse_hits_{0};
 };
 
 }  // namespace davinci

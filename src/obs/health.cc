@@ -11,6 +11,8 @@ void HealthSnapshot::Accumulate(const HealthSnapshot& other) {
   memory_bytes += other.memory_bytes;
   inserts += other.inserts;
   queries += other.queries;
+  snapshot_merges += other.snapshot_merges;
+  snapshot_reuse_hits += other.snapshot_reuse_hits;
 
   fp.buckets += other.fp.buckets;
   fp.slots = std::max(fp.slots, other.fp.slots);
@@ -69,7 +71,9 @@ void HealthSnapshot::Accumulate(const HealthSnapshot& other) {
 void HealthSnapshot::WriteJson(std::ostream& out) const {
   out << "{\"stats_enabled\":" << (stats_enabled ? "true" : "false")
       << ",\"shards\":" << shards << ",\"memory_bytes\":" << memory_bytes
-      << ",\"inserts\":" << inserts << ",\"queries\":" << queries;
+      << ",\"inserts\":" << inserts << ",\"queries\":" << queries
+      << ",\"snapshot_merges\":" << snapshot_merges
+      << ",\"snapshot_reuse_hits\":" << snapshot_reuse_hits;
 
   out << ",\"fp\":{\"buckets\":" << fp.buckets << ",\"slots\":" << fp.slots
       << ",\"live_slots\":" << fp.live_slots << ",\"occupancy\":"

@@ -170,6 +170,11 @@ struct HealthSnapshot {
   size_t memory_bytes = 0;
   uint64_t inserts = 0;  // sketch-level Insert/InsertBatch keys
   uint64_t queries = 0;
+  // ConcurrentDaVinci::SharedSnapshot: merges built, and calls served from
+  // the per-published-state memo. The engine's own relaxed atomics, live
+  // regardless of DAVINCI_STATS; zero when collected from a plain sketch.
+  uint64_t snapshot_merges = 0;
+  uint64_t snapshot_reuse_hits = 0;
   FpHealth fp;
   EfHealth ef;
   IfpHealth ifp;

@@ -320,7 +320,8 @@ std::string RequestDispatcher::InsertBatch(WireReader& reader) {
 
 // ---------------------------------------------------------------------------
 // Single-tenant queries — all answered from published views (the engine's
-// lock-free read paths or Snapshot()); no writer lock is ever taken here.
+// lock-free read paths or SharedSnapshot()); no writer lock is ever taken
+// here.
 
 std::string RequestDispatcher::Query(WireReader& reader) {
   std::string name;
@@ -385,7 +386,8 @@ std::string RequestDispatcher::Distribution(WireReader& reader) {
   }
   std::shared_ptr<Tenant> tenant = registry_->Find(name);
   if (!tenant) return StatusBody(StatusCode::kNoSuchTenant);
-  std::map<int64_t, int64_t> dist = tenant->engine().Snapshot().Distribution();
+  std::map<int64_t, int64_t> dist =
+      tenant->engine().SharedSnapshot()->Distribution();
   WireWriter writer;
   writer.U8(static_cast<uint8_t>(StatusCode::kOk));
   writer.U32(static_cast<uint32_t>(dist.size()));
@@ -405,7 +407,7 @@ std::string RequestDispatcher::Entropy(WireReader& reader) {
   if (!tenant) return StatusBody(StatusCode::kNoSuchTenant);
   WireWriter writer;
   writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.F64(tenant->engine().Snapshot().EstimateEntropy());
+  writer.F64(tenant->engine().SharedSnapshot()->EstimateEntropy());
   return writer.Take();
 }
 
@@ -432,9 +434,11 @@ std::string RequestDispatcher::WindowHeavyChangers(WireReader& reader) {
 
 namespace {
 
+// Both tenants' memoized merged snapshots. A self-pair is one object
+// twice; the linear ops below mutate a copy of `a`, never the memo.
 struct TenantPair {
-  DaVinciSketch a;
-  DaVinciSketch b;
+  std::shared_ptr<const DaVinciSketch> a;
+  std::shared_ptr<const DaVinciSketch> b;
 };
 
 // Snapshots both tenants into *out; any status but kOk leaves it empty.
@@ -444,12 +448,12 @@ StatusCode SnapshotPair(TenantRegistry* registry, const std::string& name_a,
   std::shared_ptr<Tenant> tenant_a = registry->Find(name_a);
   std::shared_ptr<Tenant> tenant_b = registry->Find(name_b);
   if (!tenant_a || !tenant_b) return StatusCode::kNoSuchTenant;
-  TenantPair pair{tenant_a->engine().Snapshot(),
-                  tenant_b->engine().Snapshot()};
+  TenantPair pair{tenant_a->engine().SharedSnapshot(),
+                  tenant_b->engine().SharedSnapshot()};
   // Cross-tenant linear ops need the kIdentical relation; two kResizable
   // tenants (same seed, different split) still answer kBadArgument — the
   // server never rebuilds a whole tenant to satisfy one query.
-  if (DaVinciConfig::GeometryCompatible(pair.a.config(), pair.b.config()) !=
+  if (DaVinciConfig::GeometryCompatible(pair.a->config(), pair.b->config()) !=
       DaVinciConfig::GeometryRelation::kIdentical) {
     return StatusCode::kBadArgument;
   }
@@ -471,7 +475,7 @@ std::string RequestDispatcher::HeavyChangers(WireReader& reader) {
   if (status != StatusCode::kOk) return StatusBody(status);
   WireWriter writer;
   writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.Pairs(pair->a.HeavyChangers(pair->b, delta));
+  writer.Pairs(pair->a->HeavyChangers(*pair->b, delta));
   return writer.Take();
 }
 
@@ -483,10 +487,11 @@ std::string RequestDispatcher::UnionCardinality(WireReader& reader) {
   std::optional<TenantPair> pair;
   StatusCode status = SnapshotPair(registry_, name_a, name_b, &pair);
   if (status != StatusCode::kOk) return StatusBody(status);
-  pair->a.Merge(pair->b);
+  DaVinciSketch merged = *pair->a;  // O(1) CoW copy; Merge clones
+  merged.Merge(*pair->b);
   WireWriter writer;
   writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.F64(pair->a.EstimateCardinality());
+  writer.F64(merged.EstimateCardinality());
   return writer.Take();
 }
 
@@ -500,8 +505,9 @@ std::string RequestDispatcher::DifferenceQuery(WireReader& reader) {
   std::optional<TenantPair> pair;
   StatusCode status = SnapshotPair(registry_, name_a, name_b, &pair);
   if (status != StatusCode::kOk) return StatusBody(status);
-  pair->a.Subtract(pair->b);
-  std::vector<int64_t> answers = pair->a.QueryBatch(keys);
+  DaVinciSketch diff = *pair->a;  // O(1) CoW copy; Subtract clones
+  diff.Subtract(*pair->b);
+  std::vector<int64_t> answers = diff.QueryBatch(keys);
   WireWriter writer;
   writer.U8(static_cast<uint8_t>(StatusCode::kOk));
   writer.Counts(answers);
@@ -518,7 +524,7 @@ std::string RequestDispatcher::InnerProduct(WireReader& reader) {
   if (status != StatusCode::kOk) return StatusBody(status);
   WireWriter writer;
   writer.U8(static_cast<uint8_t>(StatusCode::kOk));
-  writer.F64(DaVinciSketch::InnerProduct(pair->a, pair->b));
+  writer.F64(DaVinciSketch::InnerProduct(*pair->a, *pair->b));
   return writer.Take();
 }
 

@@ -20,8 +20,8 @@
 //     a cross-tenant query over mismatched sketch geometry answers
 //     kBadArgument instead of tripping the core's DAVINCI_CHECK.
 //   - Queries are answered exclusively from published SketchViews (the
-//     engine's lock-free read path / Snapshot()); a query never takes a
-//     writer lock, so a slow reader cannot stall ingest.
+//     engine's lock-free read path / SharedSnapshot()); a query never
+//     takes a writer lock, so a slow reader cannot stall ingest.
 //   - Answers are bit-identical to the in-process computation: doubles
 //     travel as IEEE-754 bit patterns, pair lists in the core's order.
 //

@@ -9,8 +9,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <random>
 #include <span>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -180,6 +182,56 @@ TEST(ConcurrentStressTest, SnapshotViewsRacingWriters) {
   done.store(true, std::memory_order_release);
   for (size_t t = 2; t < threads.size(); ++t) threads[t].join();
 
+  sketch.CheckInvariants(InvariantMode::kAdditive);
+}
+
+TEST(ConcurrentStressTest, SharedSnapshotReadersRacingWriter) {
+  // Memo leg: readers share the memoized merged snapshot, decode it and
+  // compare it against a second call while a writer keeps publishing.
+  // Every reader may miss and merge at once; the last store wins.
+  ConcurrentDaVinci sketch(4, 256 * 1024, 29);
+  sketch.InsertBatch(std::span<const uint32_t>(ThreadKeys(0, 6000, 29)));
+
+  std::atomic<bool> done{false};
+  auto read = [&sketch, &done] {
+    while (!done.load(std::memory_order_acquire)) {
+      std::shared_ptr<const DaVinciSketch> snapshot = sketch.SharedSnapshot();
+      std::shared_ptr<const DaVinciSketch> again = sketch.SharedSnapshot();
+      int64_t flows = 0;
+      for (const auto& [size, count] : snapshot->Distribution()) {
+        flows += count;
+      }
+      EXPECT_GT(flows, 0);
+      EXPECT_TRUE(snapshot->HeavyChangers(*snapshot, 0).empty());
+      EXPECT_TRUE(snapshot->HeavyChangers(*again, 1 << 20).empty());
+    }
+  };
+  std::thread threads[] = {
+      std::thread([&sketch] {
+        std::vector<uint32_t> keys = ThreadKeys(1, 8000, 29);
+        size_t half = keys.size() / 2;
+        for (size_t i = 0; i < half; ++i) sketch.Insert(keys[i]);
+        sketch.InsertBatch(std::span<const uint32_t>(keys.data() + half,
+                                                     keys.size() - half));
+      }),
+      std::thread(read),
+      std::thread(read),
+  };
+  threads[0].join();
+  done.store(true, std::memory_order_release);
+  threads[1].join();
+  threads[2].join();
+
+  // A racing reader may have stored a memo of older views; it must not be
+  // served now. Compare against a fold of the views that bypasses it.
+  std::vector<std::shared_ptr<const SketchView>> views = sketch.SnapshotAll();
+  DaVinciSketch folded = views[0]->sketch();
+  for (size_t s = 1; s < views.size(); ++s) folded.Merge(views[s]->sketch());
+  std::stringstream expected, actual;
+  folded.Save(expected);
+  sketch.SharedSnapshot()->Save(actual);
+  EXPECT_EQ(actual.str(), expected.str());
+  EXPECT_GT(sketch.snapshot_merges(), 0u);
   sketch.CheckInvariants(InvariantMode::kAdditive);
 }
 

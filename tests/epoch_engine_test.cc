@@ -9,17 +9,20 @@
 #include <cstdlib>
 #include <future>
 #include <map>
+#include <memory>
 #include <random>
 #include <span>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/concurrent_davinci.h"
 #include "core/epoch_manager.h"
+#include "obs/health.h"
 #include "obs/stats.h"
 #include "test_seed.h"
 
@@ -173,6 +176,106 @@ TEST(RcuReadPathTest, PublishedViewsTrackWrites) {
   for (const auto& view : views) still_frozen += view->Query(4242);
   EXPECT_EQ(still_frozen, 10);
   EXPECT_EQ(sketch.Query(4242), 100);
+}
+
+// ---- memoized merged snapshot ---------------------------------------------
+
+// Reference merge folded directly from the published views, never through
+// Snapshot()/SharedSnapshot(), so a stale memo cannot hide in it.
+std::string FoldedViewBytes(const ConcurrentDaVinci& engine) {
+  std::vector<std::shared_ptr<const SketchView>> views = engine.SnapshotAll();
+  DaVinciSketch folded = views[0]->sketch();
+  for (size_t s = 1; s < views.size(); ++s) folded.Merge(views[s]->sketch());
+  return SaveBytes(folded);
+}
+
+TEST(SnapshotMemoTest, QuiescedEngineMergesOnce) {
+  ConcurrentDaVinci engine(4, 256 * 1024, testing::TestSeed(41));
+  engine.InsertBatch(Keys(1, 20000, 41));
+
+  std::shared_ptr<const DaVinciSketch> first = engine.SharedSnapshot();
+  std::shared_ptr<const DaVinciSketch> second = engine.SharedSnapshot();
+  EXPECT_EQ(first.get(), second.get());
+  EXPECT_EQ(engine.snapshot_merges(), 1u);
+  EXPECT_EQ(engine.snapshot_reuse_hits(), 1u);
+  EXPECT_EQ(SaveBytes(*first), FoldedViewBytes(engine));
+
+  // The by-value form copies the same memo instead of merging again.
+  EXPECT_EQ(SaveBytes(engine.Snapshot()), SaveBytes(*first));
+  EXPECT_EQ(engine.snapshot_merges(), 1u);
+  obs::HealthSnapshot health;
+  engine.CollectStats(&health);
+  EXPECT_EQ(health.snapshot_merges, 1u);
+  EXPECT_EQ(health.snapshot_reuse_hits, 2u);
+  std::ostringstream json;
+  health.WriteJson(json);
+  EXPECT_NE(
+      json.str().find("\"snapshot_merges\":1,\"snapshot_reuse_hits\":2"),
+      std::string::npos);
+}
+
+TEST(SnapshotMemoTest, EveryWritePathPublishesAFreshSnapshot) {
+  const uint64_t seed = testing::TestSeed(43);
+  ConcurrentDaVinci engine(4, 256 * 1024, seed);
+  ConcurrentDaVinci other(4, 256 * 1024, seed);
+  engine.InsertBatch(Keys(1, 10000, 43));
+  other.InsertBatch(Keys(60000, 10000, 44));
+  const std::vector<uint32_t> batch = Keys(1, 5000, 45);
+
+  // Warms the memo, applies one write path, and checks the next snapshot
+  // is a new merge equal to the views' own fold while the old one stays
+  // frozen.
+  auto check = [&engine](const char* path, const auto& write) {
+    SCOPED_TRACE(path);
+    std::shared_ptr<const DaVinciSketch> before = engine.SharedSnapshot();
+    const std::string before_bytes = SaveBytes(*before);
+    const uint64_t merges = engine.snapshot_merges();
+    write();
+    std::shared_ptr<const DaVinciSketch> after = engine.SharedSnapshot();
+    EXPECT_EQ(engine.snapshot_merges(), merges + 1);
+    EXPECT_NE(after.get(), before.get());
+    EXPECT_EQ(SaveBytes(*after), FoldedViewBytes(engine));
+    EXPECT_NE(SaveBytes(*after), before_bytes);
+    EXPECT_EQ(SaveBytes(*before), before_bytes);
+  };
+  check("Insert", [&] { engine.Insert(7, 5); });
+  check("InsertBatch", [&] { engine.InsertBatch(batch); });
+  check("Merge", [&] { engine.Merge(other); });
+  check("MergeShardImages", [&] {
+    std::stringstream image;
+    other.SaveShards(image, SketchFormat::kCompressed);
+    std::vector<std::vector<DaVinciSketch>> images(1);
+    ASSERT_TRUE(engine.ParseShardImage(image, &images[0]));
+    engine.MergeShardImages(std::move(images));
+  });
+  check("RestoreShards", [&] {
+    std::stringstream image;
+    other.SaveShards(image, SketchFormat::kFlat);
+    ASSERT_TRUE(engine.RestoreShards(image));
+  });
+  check("Resize", [&] {
+    ASSERT_TRUE(engine.Resize(DaVinciConfig::FromMemory(128 * 1024, seed)));
+  });
+}
+
+TEST(SnapshotMemoTest, FollowsPublishedViewsUntilFlush) {
+  ConcurrentDaVinci engine(4, 256 * 1024, testing::TestSeed(47));
+  engine.InsertBatch(Keys(1, 10000, 47));
+  engine.SetPublishInterval(1u << 20);
+
+  // Unpublished writes change no view, so the memo keeps serving.
+  std::shared_ptr<const DaVinciSketch> published = engine.SharedSnapshot();
+  engine.InsertBatch(Keys(100000, 5000, 48));
+  std::shared_ptr<const DaVinciSketch> stale = engine.SharedSnapshot();
+  EXPECT_EQ(stale.get(), published.get());
+  EXPECT_EQ(SaveBytes(*stale), FoldedViewBytes(engine));
+
+  engine.FlushViews();
+  std::shared_ptr<const DaVinciSketch> flushed = engine.SharedSnapshot();
+  EXPECT_NE(flushed.get(), published.get());
+  EXPECT_EQ(SaveBytes(*flushed), FoldedViewBytes(engine));
+  EXPECT_NE(SaveBytes(*flushed), SaveBytes(*published));
+  EXPECT_EQ(engine.snapshot_merges(), 2u);
 }
 
 // ---- EpochManager ---------------------------------------------------------

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <future>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -474,6 +475,7 @@ TEST(ConcurrentResizeTest, ReadsCompleteWhileResizeBlockedOnHostageShard) {
 
   std::vector<uint32_t> keys(512);
   for (uint32_t i = 0; i < keys.size(); ++i) keys[i] = i * 37;
+  const uint64_t merges_before = sketch.snapshot_merges();
   std::future<void> reads = std::async(std::launch::async, [&] {
     for (int round = 0; round < 4; ++round) {
       for (uint32_t key = 0; key < 2000; ++key) {
@@ -482,8 +484,13 @@ TEST(ConcurrentResizeTest, ReadsCompleteWhileResizeBlockedOnHostageShard) {
       EXPECT_EQ(sketch.QueryBatch(keys).size(), keys.size());
       EXPECT_GT(sketch.EstimateCardinality(), 0.0);
       (void)sketch.HeavyHitters(100);
-      EXPECT_TRUE(Identical(sketch.Snapshot().config(), bigger));
     }
+    // The transient views merge once through the rebuild branch; the
+    // second call is served from the memo of the same views.
+    DaVinciSketch first = sketch.Snapshot();
+    DaVinciSketch second = sketch.Snapshot();
+    EXPECT_TRUE(Identical(first.config(), bigger));
+    EXPECT_EQ(SaveBytes(second), SaveBytes(first));
   });
 
   // Reads finish while the resize is still parked on the hostage shard.
@@ -497,6 +504,18 @@ TEST(ConcurrentResizeTest, ReadsCompleteWhileResizeBlockedOnHostageShard) {
   ASSERT_EQ(resize.wait_for(10s), std::future_status::ready);
   EXPECT_TRUE(resize.get());
   EXPECT_TRUE(Identical(sketch.ShardConfig(), bigger));
+  EXPECT_EQ(sketch.snapshot_merges(), merges_before + 1);
+  EXPECT_GE(sketch.snapshot_reuse_hits(), 1u);
+
+  // The last shard's swap published a new view, so the next snapshot is
+  // a fresh merge of the new geometry, equal to the views' own fold.
+  std::vector<std::shared_ptr<const SketchView>> views = sketch.SnapshotAll();
+  DaVinciSketch folded = views[0]->sketch();
+  for (size_t s = 1; s < views.size(); ++s) folded.Merge(views[s]->sketch());
+  DaVinciSketch after = sketch.Snapshot();
+  EXPECT_EQ(sketch.snapshot_merges(), merges_before + 2);
+  EXPECT_TRUE(Identical(after.config(), bigger));
+  EXPECT_EQ(SaveBytes(after), SaveBytes(folded));
   sketch.CheckInvariants(InvariantMode::kAdditive);
 }
 

@@ -226,6 +226,131 @@ TEST_F(ServerTest, AllNineTasksMatchInProcessAnswers) {
   EXPECT_EQ(std::memcmp(&wire_double, &local_double, sizeof(double)), 0);
 }
 
+// The engine's merged snapshot folded straight from its published views,
+// bypassing the memo the server answers from.
+DaVinciSketch FoldedViews(const ConcurrentDaVinci& engine) {
+  std::vector<std::shared_ptr<const SketchView>> views = engine.SnapshotAll();
+  DaVinciSketch folded = views[0]->sketch();
+  for (size_t s = 1; s < views.size(); ++s) folded.Merge(views[s]->sketch());
+  return folded;
+}
+
+std::vector<std::pair<int64_t, int64_t>> DistributionPairs(
+    const DaVinciSketch& sketch) {
+  std::vector<std::pair<int64_t, int64_t>> out;
+  for (const auto& [size, flows] : sketch.Distribution()) {
+    out.emplace_back(size, flows);
+  }
+  return out;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST_F(ServerTest, SelfPairsMatchTwoIndependentCopies) {
+  const uint64_t seed = testing::TestSeed(29);
+  DAVINCI_ANNOUNCE_SEED(seed);
+  Trace trace = BuildSkewedTrace("self", 50000, 4000, 1.0, seed);
+  std::vector<int64_t> ones(trace.keys.size(), 1);
+  ASSERT_EQ(client_.CreateTenant("self", kShards, kTenantBytes, seed),
+            StatusCode::kOk);
+  ASSERT_EQ(client_.InsertBatch("self", trace.keys, ones), StatusCode::kOk);
+
+  // On the server both sides of a self-pair are one memoized object; the
+  // reference loads the same state twice, into two unrelated sketches.
+  ConcurrentDaVinci reference(kShards, kTenantBytes, seed);
+  reference.InsertBatch(trace.keys, ones);
+  std::stringstream image;
+  FoldedViews(reference).Save(image);
+  DaVinciSketch copy_a(8 * 1024, 0);
+  DaVinciSketch copy_b(8 * 1024, 0);
+  std::stringstream image_b(image.str());
+  ASSERT_TRUE(DaVinciSketch::Load(image, &copy_a));
+  ASSERT_TRUE(DaVinciSketch::Load(image_b, &copy_b));
+
+  std::vector<std::pair<uint32_t, int64_t>> wire_pairs;
+  ASSERT_EQ(client_.HeavyChangers("self", "self", 0, &wire_pairs),
+            StatusCode::kOk);
+  EXPECT_EQ(wire_pairs, copy_a.HeavyChangers(copy_b, 0));
+
+  double wire_double = 0;
+  ASSERT_EQ(client_.UnionCardinality("self", "self", &wire_double),
+            StatusCode::kOk);
+  DaVinciSketch merged = copy_a;
+  merged.Merge(copy_b);
+  EXPECT_TRUE(SameBits(wire_double, merged.EstimateCardinality()));
+
+  std::vector<uint32_t> probe(trace.keys.begin(), trace.keys.begin() + 256);
+  std::vector<int64_t> wire_batch;
+  ASSERT_EQ(client_.DifferenceQuery("self", "self", probe, &wire_batch),
+            StatusCode::kOk);
+  DaVinciSketch diff = copy_a;
+  diff.Subtract(copy_b);
+  EXPECT_EQ(wire_batch, diff.QueryBatch(probe));
+
+  ASSERT_EQ(client_.InnerProduct("self", "self", &wire_double),
+            StatusCode::kOk);
+  EXPECT_TRUE(
+      SameBits(wire_double, DaVinciSketch::InnerProduct(copy_a, copy_b)));
+
+  // The pair tasks left the tenant's own snapshot untouched.
+  std::shared_ptr<Tenant> tenant = server_->registry().Find("self");
+  ASSERT_NE(tenant, nullptr);
+  std::stringstream served, loaded;
+  tenant->engine().SharedSnapshot()->Save(served);
+  copy_a.Save(loaded);
+  EXPECT_EQ(served.str(), loaded.str());
+}
+
+TEST_F(ServerTest, IngestBetweenQueriesReachesTheNextAnswer) {
+  const uint64_t seed = testing::TestSeed(37);
+  DAVINCI_ANNOUNCE_SEED(seed);
+  Trace first = BuildSkewedTrace("first", 30000, 3000, 1.0, seed);
+  Trace second = BuildSkewedTrace("second", 30000, 3000, 1.0, seed + 1);
+  Trace peer = BuildSkewedTrace("peer", 30000, 3000, 1.0, seed + 2);
+  // Empty counts mean one per key, on the wire and in InsertBatch(keys).
+  const std::vector<int64_t> ones;
+  ASSERT_EQ(client_.CreateTenant("live", kShards, kTenantBytes, seed),
+            StatusCode::kOk);
+  ASSERT_EQ(client_.CreateTenant("peer", kShards, kTenantBytes, seed),
+            StatusCode::kOk);
+  ASSERT_EQ(client_.InsertBatch("live", first.keys, ones), StatusCode::kOk);
+  ASSERT_EQ(client_.InsertBatch("peer", peer.keys, ones), StatusCode::kOk);
+  ConcurrentDaVinci ref_live(kShards, kTenantBytes, seed);
+  ConcurrentDaVinci ref_peer(kShards, kTenantBytes, seed);
+  ref_live.InsertBatch(first.keys);
+  ref_peer.InsertBatch(peer.keys);
+
+  // Both answers are read twice per state: the second read is served from
+  // the memo and must still match the state the last write left.
+  double before_union = 0;
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    std::vector<std::pair<int64_t, int64_t>> wire_dist;
+    double wire_union = 0;
+    if (round == 1) {
+      ASSERT_EQ(client_.InsertBatch("live", second.keys, ones),
+                StatusCode::kOk);
+      ref_live.InsertBatch(second.keys);
+    }
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      ASSERT_EQ(client_.UnionCardinality("live", "peer", &wire_union),
+                StatusCode::kOk);
+      DaVinciSketch merged = FoldedViews(ref_live);
+      merged.Merge(FoldedViews(ref_peer));
+      EXPECT_TRUE(SameBits(wire_union, merged.EstimateCardinality()));
+      ASSERT_EQ(client_.Distribution("live", &wire_dist), StatusCode::kOk);
+      EXPECT_EQ(wire_dist, DistributionPairs(FoldedViews(ref_live)));
+    }
+    if (round == 0) {
+      before_union = wire_union;
+    } else {
+      EXPECT_GT(wire_union, before_union);
+    }
+  }
+}
+
 TEST_F(ServerTest, WindowedTenantHeavyChangers) {
   ASSERT_EQ(client_.CreateTenant("w", kShards, kTenantBytes, 5, /*window=*/4),
             StatusCode::kOk);
