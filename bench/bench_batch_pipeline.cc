@@ -110,24 +110,13 @@ void BM_InsertBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_InsertBatch)->Unit(benchmark::kMillisecond);
 
-// Bulk-load configuration: at the default publish interval of 1 every
-// shard-block publish pins the live sketch's CoW buffers, so the next
-// block re-clones them — megabytes of memcpy per few-thousand-key block,
-// which is the read-your-writes price, not the insert pipeline's. A bulk
-// load has no concurrent readers to keep current, so it raises the
-// interval and force-publishes once at the end (inside the timed region —
-// the flush is part of the work).
-constexpr size_t kBulkLoadPublishInterval = 1u << 20;
-
 void BM_ConcurrentInsertBatch(benchmark::State& state) {
   const std::vector<uint32_t>& keys = ZipfTrace();
   for (auto _ : state) {
     state.PauseTiming();
     ConcurrentDaVinci sketch(4, SketchBytes(), kSeed);
-    sketch.SetPublishInterval(kBulkLoadPublishInterval);
     state.ResumeTiming();
     sketch.InsertBatch(keys);
-    sketch.FlushViews();
     benchmark::DoNotOptimize(sketch);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -176,7 +165,6 @@ void WriteJson(const ThroughputCapture& capture) {
   json.Metric("single_insert_mops", single);
   json.Metric("insert_batch_mops", batch);
   json.Metric("concurrent_insert_batch_mops", concurrent);
-  json.Count("concurrent_publish_interval", kBulkLoadPublishInterval);
   json.Metric("batch_over_single", ratio);
 
   // Final-state health of one batched build over the same trace, so the

@@ -382,15 +382,19 @@ void WriteEpochEngineJson() {
   json.Count("window_rebuild_merges", engine.window_rebuild_merges());
 
   // RCU read path: Query throughput against the published views, first
-  // uncontended, then with a writer batching its view publications at the
-  // serving-style interval (interval 1 would re-clone ~200KB of CoW
-  // buffers per insert, trashing the reader's cache along with the
-  // writer's throughput — see DESIGN.md §10).
-  constexpr size_t kPublishInterval = 1024;
-  json.Count("publish_interval", kPublishInterval);
+  // uncontended, then beside a writer streaming 4096-key InsertBatch
+  // calls — perfbench's ingest frame. Each call publishes every shard
+  // once (about 1024 keys per shard), and each publish makes that shard's
+  // next call re-clone its ~50KB of CoW buffers (DESIGN.md §10).
+  constexpr size_t kWriteBatch = 4096;
   json.Count("hardware_threads", std::thread::hardware_concurrency());
   davinci::ConcurrentDaVinci shared(4, kBytes, 5);
   shared.InsertBatch(keys);
+  auto write_frame = [&shared, &keys](size_t i) {
+    const size_t frames = keys.size() / kWriteBatch;
+    shared.InsertBatch(std::span<const uint32_t>(keys).subspan(
+        (i % frames) * kWriteBatch, kWriteBatch));
+  };
   constexpr int kReadRounds = 5;
   int64_t sink = 0;
   auto read_pass = [&shared, &keys] {
@@ -404,16 +408,12 @@ void WriteEpochEngineJson() {
       BestOfSeconds(kReadRounds, [&] { sink += read_pass(); });
   json.Metric("read_uncontended_mops",
               davinci::ThroughputMpps(keys.size(), uncontended_seconds));
-  shared.SetPublishInterval(kPublishInterval);
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> writer_ops{0};
-  std::thread writer([&shared, &keys, &stop, &writer_ops] {
-    size_t i = 0;
-    while (!stop.load(std::memory_order_acquire)) {
-      shared.Insert(keys[i % keys.size()], 1);
-      if ((++i & 1023) == 0) {
-        writer_ops.fetch_add(1024, std::memory_order_relaxed);
-      }
+  std::thread writer([&write_frame, &stop, &writer_ops] {
+    for (size_t i = 0; !stop.load(std::memory_order_acquire); ++i) {
+      write_frame(i);
+      writer_ops.fetch_add(kWriteBatch, std::memory_order_relaxed);
     }
   });
   timer.Restart();
@@ -425,33 +425,30 @@ void WriteEpochEngineJson() {
   stop.store(true, std::memory_order_release);
   writer.join();
   // Write-side face of the same contest: inserts the racing writer
-  // retired per second. Publication batching is what keeps this from
+  // retired per second. Publishing once per call is what keeps this from
   // collapsing into per-insert CoW clones.
   json.Metric("contended_writer_mops",
               davinci::ThroughputMpps(
                   writer_ops.load(std::memory_order_relaxed),
                   contended_window));
-  shared.FlushViews();
-  // Two merged snapshots of the flushed, quiesced engine: the second is
+  // Two merged snapshots of the quiesced engine: the second is
   // served from the memo the first one built.
   benchmark::DoNotOptimize(shared.Snapshot());
   benchmark::DoNotOptimize(shared.Snapshot());
   json.Count("snapshot_reuse_hits", shared.snapshot_reuse_hits());
 
   // Whole-system mixed read/write scaling: one writer thread streaming
-  // Inserts (publishing every kPublishInterval) against 1/2/4/8 reader
-  // threads running batched queries over the published views. Reported
+  // 4096-key InsertBatch calls against 1/2/4/8 reader threads running
+  // batched queries over the published views. Reported
   // per point: aggregate reader Mops. On a host with fewer cores than
   // readers + writer the curve honestly flattens or droops — the
   // hardware_threads count above tells the regression gate which regime
   // produced the numbers.
   for (size_t readers : {1u, 2u, 4u, 8u}) {
     std::atomic<bool> mixed_stop{false};
-    std::thread mixed_writer([&shared, &keys, &mixed_stop] {
-      size_t i = 0;
-      while (!mixed_stop.load(std::memory_order_acquire)) {
-        shared.Insert(keys[i % keys.size()], 1);
-        ++i;
+    std::thread mixed_writer([&write_frame, &mixed_stop] {
+      for (size_t i = 0; !mixed_stop.load(std::memory_order_acquire); ++i) {
+        write_frame(i);
       }
     });
     constexpr int kMixedRounds = 2;

@@ -22,65 +22,38 @@ ConcurrentDaVinci::ConcurrentDaVinci(size_t shards, size_t total_bytes,
   }
 }
 
-void ConcurrentDaVinci::SetPublishInterval(size_t interval) {
-  DAVINCI_CHECK_MSG(interval >= 1, "publish interval must be >= 1");
-  publish_interval_.store(interval, std::memory_order_relaxed);
-}
-
-void ConcurrentDaVinci::FlushViews() {
-  for (Shard& shard : shards_) {
-    MutexLock lock(&shard.mutex);
-    if (shard.unpublished > 0) Publish(shard);
-  }
-}
-
 void ConcurrentDaVinci::Insert(uint32_t key, int64_t count) {
   Shard& shard = shards_[ShardOf(key)];
   MutexLock lock(&shard.mutex);
   shard.sketch->Insert(key, count);
-  CountMutations(shard, 1);
+  Publish(shard);
 }
 
 void ConcurrentDaVinci::InsertBatch(std::span<const uint32_t> keys,
                                     std::span<const int64_t> counts) {
-  // Partition each block by shard into scratch buffers, then drain every
-  // non-empty shard group under a single lock acquisition. Blocks bound the
-  // scratch memory and the time any one lock is held.
-  constexpr size_t kBlock = 16 * DaVinciSketch::kInsertBlock;
+  // DaVinciSketch::InsertBatch only DCHECKs this; without it a short
+  // `counts` is read out of bounds in Release builds.
+  DAVINCI_CHECK_EQ(keys.size(), counts.size());
+  // Group the whole call by shard, then drain every non-empty group under
+  // a single lock acquisition and publish it once.
   std::vector<std::vector<uint32_t>> shard_keys(shards_.size());
   std::vector<std::vector<int64_t>> shard_counts(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    shard_keys[s].reserve(kBlock);
-    shard_counts[s].reserve(kBlock);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    size_t s = ShardOf(keys[i]);
+    shard_keys[s].push_back(keys[i]);
+    shard_counts[s].push_back(counts[i]);
   }
-  for (size_t start = 0; start < keys.size(); start += kBlock) {
-    size_t len = std::min(kBlock, keys.size() - start);
-    for (size_t i = 0; i < len; ++i) {
-      size_t s = ShardOf(keys[start + i]);
-      shard_keys[s].push_back(keys[start + i]);
-      shard_counts[s].push_back(counts[start + i]);
-    }
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      if (shard_keys[s].empty()) continue;
-      {
-        MutexLock lock(&shards_[s].mutex);
-        shards_[s].sketch->InsertBatch(shard_keys[s], shard_counts[s]);
-        CountMutations(shards_[s], shard_keys[s].size());
-      }
-      shard_keys[s].clear();
-      shard_counts[s].clear();
-    }
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (shard_keys[s].empty()) continue;
+    MutexLock lock(&shards_[s].mutex);
+    shards_[s].sketch->InsertBatch(shard_keys[s], shard_counts[s]);
+    Publish(shards_[s]);
   }
 }
 
 void ConcurrentDaVinci::InsertBatch(std::span<const uint32_t> keys) {
-  if (keys.empty()) return;
-  std::vector<int64_t> ones(std::min<size_t>(keys.size(), size_t{4096}), 1);
-  for (size_t start = 0; start < keys.size(); start += ones.size()) {
-    size_t len = std::min(ones.size(), keys.size() - start);
-    InsertBatch(keys.subspan(start, len),
-                std::span<const int64_t>(ones.data(), len));
-  }
+  std::vector<int64_t> ones(keys.size(), 1);
+  InsertBatch(keys, ones);
 }
 
 int64_t ConcurrentDaVinci::Query(uint32_t key) const {
@@ -95,8 +68,9 @@ int64_t ConcurrentDaVinci::Query(uint32_t key) const {
 std::vector<int64_t> ConcurrentDaVinci::QueryBatch(
     std::span<const uint32_t> keys) const {
   std::vector<int64_t> out(keys.size());
-  // Same block structure as InsertBatch, with a parallel position vector so
-  // the per-shard answers scatter back to the caller's order.
+  // Groups each block by shard, with a parallel position vector so the
+  // per-shard answers scatter back to the caller's order. Blocks bound the
+  // scratch memory.
   constexpr size_t kBlock = 16 * DaVinciSketch::kInsertBlock;
   std::vector<std::vector<uint32_t>> shard_keys(shards_.size());
   std::vector<std::vector<size_t>> shard_pos(shards_.size());
@@ -243,7 +217,6 @@ void ConcurrentDaVinci::CollectStats(obs::HealthSnapshot* out) const {
     one.queries += shard.read_queries.value();
     out->Accumulate(one);
   }
-  out->tuning.publish_interval = publish_interval();
   out->snapshot_merges = snapshot_merges();
   out->snapshot_reuse_hits = snapshot_reuse_hits();
 }
@@ -362,14 +335,10 @@ void ConcurrentDaVinci::CheckInvariants(InvariantMode mode) const {
         shards_[s].view.load(std::memory_order_acquire) != nullptr,
         "shard " + std::to_string(s) + " has no published view");
     const DaVinciSketch& sketch = *shards_[s].sketch;
-    const DaVinciConfig& config = sketch.config();
-    DAVINCI_CHECK_EQ(config.seed, reference.seed);
-    DAVINCI_CHECK_EQ(config.fp_buckets, reference.fp_buckets);
-    DAVINCI_CHECK_EQ(config.fp_slots, reference.fp_slots);
-    DAVINCI_CHECK_EQ(config.ef_bytes, reference.ef_bytes);
-    DAVINCI_CHECK_EQ(config.ifp_rows, reference.ifp_rows);
-    DAVINCI_CHECK_EQ(config.ifp_buckets_per_row,
-                     reference.ifp_buckets_per_row);
+    DAVINCI_CHECK_MSG(
+        DaVinciConfig::GeometryCompatible(sketch.config(), reference) ==
+            DaVinciConfig::GeometryRelation::kIdentical,
+        "shard " + std::to_string(s) + " geometry differs from shard 0's");
     sketch.CheckInvariants(mode);
     // Shard-routing conservation: a key resident in shard s's frequent
     // part must hash to s, or Snapshot would double-count it and Query

@@ -24,25 +24,23 @@
 // fresh view before unlocking.
 //
 // The write-side protocol is machine-checked (docs/STATIC_ANALYSIS.md):
-// the live sketch and the publication tally are GUARDED_BY the shard
-// mutex, and Publish/CountMutations carry REQUIRES(shard.mutex), so the
-// TSA build rejects any mutation or publication outside the lock. The
-// `view` slot itself is a std::atomic — reads are deliberately lock-free —
-// but every *store* happens inside Publish, which the annotations pin
-// under the mutex (the mutex orders the CoW refcount increment inside
-// Snapshot() against other writers).
+// the live sketch is GUARDED_BY the shard mutex, and Publish carries
+// REQUIRES(shard.mutex), so the TSA build rejects any mutation or
+// publication outside the lock. The `view` slot itself is a std::atomic —
+// reads are deliberately lock-free — but every *store* happens inside
+// Publish, which the annotations pin under the mutex (the mutex orders the
+// CoW refcount increment inside Snapshot() against other writers).
 //
-// Publication frequency is tunable (SetPublishInterval): at the default
-// interval of 1 every mutation publishes, so a read always reflects every
-// completed write (read-your-writes). Raising the interval publishes every
-// Nth mutation per shard instead, which bounds the dominant write-side
-// cost under concurrent readers — each publish leaves a view sharing the
-// live sketch's CoW buffers, so the *next* mutation re-clones them
-// (about 0.8 MB per shard at 1 MiB over 4 shards). Readers then serve a
-// view at most N-1 mutations stale; FlushViews() force-publishes any shard
-// with unpublished writes (call after quiescing writers to make reads
-// exact again). Staleness only ever hides suffixes of the write stream — a
-// view is always a prefix-consistent image of its shard.
+// One publication rule: every write call publishes each shard it changed
+// exactly once, under that shard's mutex, before it returns. A write is
+// therefore visible to every read that starts after it returns
+// (read-your-writes), and a read racing a multi-shard call may see the
+// call applied on some shards and not yet on others — each view is always
+// a consistent image of its own shard. Publishing once per call, not once
+// per key or block, bounds the dominant write-side cost under concurrent
+// readers: each publish leaves a view sharing the live sketch's CoW
+// buffers, so the shard's *next* write call re-clones them (about 0.8 MB
+// per shard at 1 MiB over 4 shards).
 //
 // Aggregate queries either sum per-shard answers (cardinality, frequency)
 // or operate on a merged snapshot (the remaining tasks). The merged
@@ -57,28 +55,19 @@ class ConcurrentDaVinci {
   // `total_bytes` is divided evenly across `shards`.
   ConcurrentDaVinci(size_t shards, size_t total_bytes, uint64_t seed);
 
-  // Publish a fresh view every `interval` mutations per shard (default 1:
-  // publish-per-mutation, read-your-writes). Serving deployments with hot
-  // writers raise this to amortize the snapshot/CoW-reclone cost across a
-  // batch of writes at the price of bounded read staleness. Safe to call
-  // while writers run; takes effect on each shard's next mutation.
-  void SetPublishInterval(size_t interval);
-  size_t publish_interval() const {
-    return publish_interval_.load(std::memory_order_relaxed);
-  }
-
-  // Force-publishes every shard with unpublished mutations (no-op at
-  // interval 1). After writers quiesce, this makes the lock-free read
-  // paths exact again.
-  void FlushViews();
+  // Does nothing: every write call publishes before it returns, so there
+  // is never anything left to flush. Kept for source compatibility with
+  // existing callers (the perfbench load generator calls it).
+  void FlushViews() {}
 
   void Insert(uint32_t key, int64_t count = 1);
 
-  // Batched insert: processes keys in blocks, groups each block by shard,
-  // and takes each shard's lock ONCE per block instead of once per key
-  // before handing the group to DaVinciSketch::InsertBatch. Keys of the
-  // same shard are applied in stream order, so the per-shard (and hence
-  // snapshot) state is identical to single Inserts.
+  // Batched insert: groups the whole call by shard, then takes each
+  // touched shard's lock ONCE to hand its group to
+  // DaVinciSketch::InsertBatch and publish. Keys of the same shard are
+  // applied in stream order, so the per-shard (and hence snapshot) state
+  // is identical to single Inserts. Aborts unless `keys` and `counts` have
+  // the same length.
   void InsertBatch(std::span<const uint32_t> keys,
                    std::span<const int64_t> counts);
   void InsertBatch(std::span<const uint32_t> keys);  // count 1 per key
@@ -160,9 +149,9 @@ class ConcurrentDaVinci {
   // ---- persistence (the server's tenant checkpoints) ----
   // Serializes the shard count followed by each shard's PUBLISHED view —
   // one atomic load per shard, no locks, so writers are never stalled by a
-  // checkpoint. The image is prefix-consistent per shard: call FlushViews()
-  // first (after quiescing, or accepting interval-bounded staleness) to
-  // capture every completed write. `format` selects each shard's image:
+  // checkpoint. The image carries every write call that returned before
+  // SaveShards started; a call racing it may be captured on some shards
+  // and not others. `format` selects each shard's image:
   // kCompressed writes a DVSZ container (typically >4x smaller on skewed
   // traffic — the DVCK v2 checkpoint body and the server's kExportSketch
   // use this). Readers need no flag: DaVinciSketch::Load sniffs the format
@@ -237,11 +226,9 @@ class ConcurrentDaVinci {
   struct alignas(128) Shard {
     mutable Mutex mutex;
     std::unique_ptr<DaVinciSketch> sketch DAVINCI_GUARDED_BY(mutex);
-    // Mutations since the last publish.
-    size_t unpublished DAVINCI_GUARDED_BY(mutex) = 0;
     // RCU publication point: the immutable view readers run against.
-    // Stored with release by writers (every mutation at interval 1, every
-    // Nth otherwise), loaded with acquire by readers; never null once the
+    // Stored with release by writers (once per write call that touched the
+    // shard), loaded with acquire by readers; never null once the
     // constructor finishes. Deliberately NOT guarded: reads are lock-free
     // by design, and all stores live in Publish (REQUIRES the mutex).
     std::atomic<std::shared_ptr<const SketchView>> view;
@@ -260,16 +247,6 @@ class ConcurrentDaVinci {
   // the CoW refcount increment inside Snapshot() against other writers).
   static void Publish(Shard& shard) DAVINCI_REQUIRES(shard.mutex) {
     shard.view.store(shard.sketch->Snapshot(), std::memory_order_release);
-    shard.unpublished = 0;
-  }
-
-  // Tallies `mutations` fresh mutations against the shard and publishes
-  // once the tally reaches the publish interval.
-  void CountMutations(Shard& shard, size_t mutations)
-      DAVINCI_REQUIRES(shard.mutex) {
-    shard.unpublished += mutations;
-    if (shard.unpublished >= publish_interval_.load(std::memory_order_relaxed))
-      Publish(shard);
   }
 
   // SharedSnapshot's memo. The key is weak: it neither pins retired
@@ -282,7 +259,6 @@ class ConcurrentDaVinci {
 
   HashFamily shard_hash_;
   std::vector<Shard> shards_;
-  std::atomic<size_t> publish_interval_{1};
   mutable std::atomic<std::shared_ptr<const SnapshotMemo>> snapshot_memo_;
   mutable std::atomic<uint64_t> snapshot_merges_{0};
   mutable std::atomic<uint64_t> snapshot_reuse_hits_{0};

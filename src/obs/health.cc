@@ -64,8 +64,6 @@ void HealthSnapshot::Accumulate(const HealthSnapshot& other) {
   tuning.decode_min_buckets_per_worker =
       std::max(tuning.decode_min_buckets_per_worker,
                other.tuning.decode_min_buckets_per_worker);
-  tuning.publish_interval =
-      std::max(tuning.publish_interval, other.tuning.publish_interval);
 }
 
 void HealthSnapshot::WriteJson(std::ostream& out) const {
@@ -111,8 +109,7 @@ void HealthSnapshot::WriteJson(std::ostream& out) const {
       << ",\"cow_clone_bytes\":" << epoch.cow_clone_bytes << "}";
 
   out << ",\"tuning\":{\"decode_min_buckets_per_worker\":"
-      << tuning.decode_min_buckets_per_worker
-      << ",\"publish_interval\":" << tuning.publish_interval << "}";
+      << tuning.decode_min_buckets_per_worker << "}";
 
   out << ",\"merge_tree\":{\"height\":" << merge_tree.height
       << ",\"import_requests\":" << merge_tree.import_requests

@@ -118,12 +118,10 @@ struct EpochHealth {
 };
 
 // Runtime tuning in effect at collect time: the decode-sharding knob from
-// DaVinciConfig plus the concurrent wrapper's publish interval. Pure
-// tuning, never serialized sketch state; shard aggregation takes the max
-// (shards share one config).
+// DaVinciConfig. Pure tuning, never serialized sketch state; shard
+// aggregation takes the max (shards share one config).
 struct TuningHealth {
   size_t decode_min_buckets_per_worker = 0;
-  size_t publish_interval = 0;  // 0 unless collected from ConcurrentDaVinci
 };
 
 // Fan-in merge-tree provenance (server kImportMerge aggregation, see

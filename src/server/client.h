@@ -75,6 +75,7 @@ class Client {
   StatusCode AdvanceEpoch(const std::string& name, uint64_t* epoch);
   StatusCode Checkpoint(const std::string& name, bool* written);
   StatusCode Health(const std::string& name, HealthReply* out);
+  // kOk / kNoSuchTenant only; the server has nothing to flush.
   StatusCode FlushViews(const std::string& name);
 
   // ---- merge-tree fan-in ----

@@ -77,7 +77,7 @@ std::string RequestDispatcher::Dispatch(Op op, WireReader& reader) {
 void RequestDispatcher::MaybeCheckpoint(const std::shared_ptr<Tenant>& tenant,
                                         uint64_t mutations) {
   if (options_.checkpoint_every == 0 || !registry_->persistent()) return;
-  if (tenant->CountMutations(mutations) >= options_.checkpoint_every) {
+  if (tenant->AdvanceMutationClock(mutations) >= options_.checkpoint_every) {
     // Seal boundary first, so the checkpointed image is epoch-aligned;
     // Checkpoint() resets the mutation clock on success.
     tenant->AdvanceEpoch();
@@ -210,14 +210,14 @@ std::string RequestDispatcher::Health(WireReader& reader) {
   return writer.Take();
 }
 
+// Every write publishes before its reply, so there is nothing to flush;
+// the opcode is kept so existing clients still get kOk / kNoSuchTenant.
 std::string RequestDispatcher::FlushViews(WireReader& reader) {
   std::string name;
   if (!reader.Str(&name) || !reader.Done()) {
     return StatusBody(StatusCode::kMalformed);
   }
-  std::shared_ptr<Tenant> tenant = registry_->Find(name);
-  if (!tenant) return StatusBody(StatusCode::kNoSuchTenant);
-  tenant->engine().FlushViews();
+  if (!registry_->Find(name)) return StatusBody(StatusCode::kNoSuchTenant);
   return StatusBody(StatusCode::kOk);
 }
 

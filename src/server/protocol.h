@@ -60,7 +60,7 @@ enum class Op : uint8_t {
   kAdvanceEpoch = 5,
   kCheckpoint = 6,
   kHealth = 7,
-  kFlushViews = 8,
+  kFlushViews = 8,  // no-op kept for old clients: writes publish on reply
   // Ingest.
   kInsert = 10,
   kInsertBatch = 11,

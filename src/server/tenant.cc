@@ -167,7 +167,6 @@ void Tenant::CollectStats(obs::HealthSnapshot* out) const {
 
 std::string Tenant::Export(SketchFormat format, uint32_t* merge_height) {
   MutexLock lock(&mu_);
-  engine_.FlushViews();
   std::ostringstream image;
   engine_.SaveShards(image, format);
   *merge_height = merge_tree_.height;
@@ -237,8 +236,6 @@ void Tenant::SaveCheckpoint(std::ostream& out) {
   WritePod(out, resize_.bytes_before);
   WritePod(out, resize_.bytes_after);
   WritePod(out, resize_.last_trigger);
-  // Capture every completed write: views may be publish-interval stale.
-  engine_.FlushViews();
   engine_.SaveShards(out, SketchFormat::kCompressed);
   WritePod(out, kCheckpointTrailer);
 }

@@ -141,7 +141,7 @@ class Tenant {
 
   // Mutations since the last checkpoint (the server's periodic
   // seal-and-checkpoint trigger reads and resets this).
-  uint64_t CountMutations(uint64_t mutations) {
+  uint64_t AdvanceMutationClock(uint64_t mutations) {
     return mutations_since_checkpoint_.fetch_add(
                mutations, std::memory_order_relaxed) +
            mutations;
@@ -151,9 +151,9 @@ class Tenant {
   }
 
   // ---- merge-tree fan-in (kExportSketch / kImportMerge) ----
-  // The tenant's SaveShards image in `format`, flushed first so it carries
-  // every completed write, and its merge height (0 until the first import,
-  // then max over imports of tallest source height + 1).
+  // The tenant's SaveShards image in `format`, carrying every completed
+  // write, and its merge height (0 until the first import, then max over
+  // imports of tallest source height + 1).
   std::string Export(SketchFormat format, uint32_t* merge_height)
       DAVINCI_EXCLUDES(mu_);
   // Folds `images` (SaveShards images whose sources sat at `heights`) into
@@ -168,8 +168,8 @@ class Tenant {
       DAVINCI_EXCLUDES(mu_);
 
   // ---- persistence ----
-  // Serializes the DVCK image (flushes unpublished views first so the
-  // image reflects every completed write at call time).
+  // Serializes the DVCK image; it reflects every write completed at call
+  // time.
   void SaveCheckpoint(std::ostream& out) DAVINCI_EXCLUDES(mu_);
   // Parses a DVCK header; returns false if it is unusable (bad magic /
   // version / name / options).

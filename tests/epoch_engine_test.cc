@@ -258,24 +258,31 @@ TEST(SnapshotMemoTest, EveryWritePathPublishesAFreshSnapshot) {
   });
 }
 
-TEST(SnapshotMemoTest, FollowsPublishedViewsUntilFlush) {
-  ConcurrentDaVinci engine(4, 256 * 1024, testing::TestSeed(47));
-  engine.InsertBatch(Keys(1, 10000, 47));
-  engine.SetPublishInterval(1u << 20);
+// ---- publication ----------------------------------------------------------
 
-  // Unpublished writes change no view, so the memo keeps serving.
-  std::shared_ptr<const DaVinciSketch> published = engine.SharedSnapshot();
-  engine.InsertBatch(Keys(100000, 5000, 48));
-  std::shared_ptr<const DaVinciSketch> stale = engine.SharedSnapshot();
-  EXPECT_EQ(stale.get(), published.get());
-  EXPECT_EQ(SaveBytes(*stale), FoldedViewBytes(engine));
+// One publication per call: a write call publishes each shard it touched
+// once, at the end, so the shard's next call re-clones its CoW buffers
+// once — not once per block of the call.
+TEST(PublicationTest, InsertBatchPublishesEachShardOncePerCall) {
+  ConcurrentDaVinci engine(4, 256 * 1024, testing::TestSeed(49));
+  // Prefill with heavy counts: the FP fills, EF counters pass T, and the
+  // overflow lands in the IFP, so a block of fresh and repeated keys
+  // writes all three parts of every shard.
+  const std::vector<uint32_t> prefill = Keys(1, 20000, 49);
+  engine.InsertBatch(prefill, std::vector<int64_t>(prefill.size(), 20));
 
-  engine.FlushViews();
-  std::shared_ptr<const DaVinciSketch> flushed = engine.SharedSnapshot();
-  EXPECT_NE(flushed.get(), published.get());
-  EXPECT_EQ(SaveBytes(*flushed), FoldedViewBytes(engine));
-  EXPECT_NE(SaveBytes(*flushed), SaveBytes(*published));
-  EXPECT_EQ(engine.snapshot_merges(), 2u);
+  const std::vector<uint32_t> batch = Keys(1, 16 * 1024, 50);
+  auto clones_of = [&engine](std::span<const uint32_t> keys) {
+    obs::CowTally::ResetForTesting();
+    engine.InsertBatch(keys);
+    return obs::CowTally::Clones();
+  };
+  const uint64_t one_block =
+      clones_of(std::span<const uint32_t>(batch).first(1024));
+  // Premise: one 1024-key call clones every part of every shard once.
+  ASSERT_EQ(one_block, 3 * engine.num_shards());
+  EXPECT_LE(clones_of(batch), one_block);
+  EXPECT_EQ(SaveBytes(*engine.SharedSnapshot()), FoldedViewBytes(engine));
 }
 
 // ---- EpochManager ---------------------------------------------------------

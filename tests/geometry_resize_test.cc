@@ -448,7 +448,6 @@ TEST(ConcurrentResizeTest, ReadsCompleteWhileResizeBlockedOnHostageShard) {
   using namespace std::chrono_literals;
   ConcurrentDaVinci sketch(4, kBytes, kSketchSeed);
   for (uint32_t key = 0; key < 20000; ++key) sketch.Insert(key, 1 + key % 8);
-  sketch.FlushViews();
   const DaVinciConfig initial = sketch.ShardConfig();
 
   // Hold the LAST shard's write lock hostage: the shard-by-shard resize
@@ -522,7 +521,6 @@ TEST(ConcurrentResizeTest, ReadsCompleteWhileResizeBlockedOnHostageShard) {
 TEST(ConcurrentResizeTest, ResizeUnderConcurrentReadersAndWriter) {
   ConcurrentDaVinci sketch(4, kBytes, kSketchSeed);
   sketch.Insert(42, 100000);
-  sketch.FlushViews();
 
   std::atomic<bool> stop{false};
   std::thread writer([&] {
@@ -548,7 +546,6 @@ TEST(ConcurrentResizeTest, ResizeUnderConcurrentReadersAndWriter) {
   writer.join();
   for (std::thread& reader : readers) reader.join();
 
-  sketch.FlushViews();
   sketch.CheckInvariants(InvariantMode::kAdditive);
   // The pre-resize hot flow survived the migration (modulo EF residue).
   EXPECT_GE(sketch.Query(42), 100000 - sketch.ShardConfig().promotion_threshold);

@@ -205,5 +205,16 @@ TEST(InvariantAuditDeathTest, LinearOpsRejectMismatchedGeometry) {
   EXPECT_DEATH(big.Merge(reseeded), kMessage);
 }
 
+// A public API, so the length check must survive NDEBUG: a short `counts`
+// would otherwise be read out of bounds in Release builds.
+TEST(InvariantAuditDeathTest, InsertBatchRejectsMismatchedCounts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ConcurrentDaVinci sketch(4, 64 * 1024, 1);
+  const std::vector<uint32_t> keys = {1, 2, 3};
+  const std::vector<int64_t> counts = {1, 1};
+  EXPECT_DEATH(sketch.InsertBatch(keys, counts),
+               "keys.size\\(\\) == counts.size\\(\\)");
+}
+
 }  // namespace
 }  // namespace davinci

@@ -2,9 +2,9 @@
 // fallthrough of QueryBatch must answer exactly what per-key Query
 // answers (query_batch_test covers the chunked pipeline); the
 // persistent-pool Fermat decode must be bit-identical across sharding
-// granularities and worker counts; the concurrent wrapper's batched view
-// publication must converge to the per-mutation-publish state once
-// flushed; and the WorkerPool must run every shard exactly once per round
+// granularities and worker counts; the concurrent wrapper must reach the
+// same state with lock-free readers racing its writer as without them;
+// and the WorkerPool must run every shard exactly once per round
 // across many reused rounds.
 
 #include <atomic>
@@ -129,46 +129,22 @@ TEST(DecodeGranularityTest, BitIdenticalAcrossGranularityBoundaries) {
   }
 }
 
-// ---- batched view publication ----
-
-TEST(PublishBatchingTest, ReadsAreStaleUntilFlush) {
-  ConcurrentDaVinci sketch(2, 64 * 1024, /*seed=*/3);
-  EXPECT_EQ(sketch.publish_interval(), 1u);
-  sketch.SetPublishInterval(1000);
-
-  sketch.Insert(42, 7);
-  // One mutation, interval 1000: the published view predates the insert.
-  EXPECT_EQ(sketch.Query(42), 0);
-  sketch.FlushViews();
-  EXPECT_EQ(sketch.Query(42), 7);
-  // Flushed shards have nothing pending; a second flush is a no-op.
-  sketch.FlushViews();
-  EXPECT_EQ(sketch.Query(42), 7);
-}
-
-TEST(PublishBatchingTest, IntervalReachedPublishesWithoutFlush) {
-  ConcurrentDaVinci sketch(1, 64 * 1024, /*seed=*/3);
-  sketch.SetPublishInterval(4);
-  for (uint32_t i = 0; i < 3; ++i) sketch.Insert(7, 1);
-  EXPECT_EQ(sketch.Query(7), 0);  // three mutations, below the interval
-  sketch.Insert(7, 1);            // fourth crosses it
-  EXPECT_EQ(sketch.Query(7), 4);
-}
+// ---- view publication ----
 
 TEST(PublishBatchingTest, MixedReadersMatchQuiescedReference) {
   const uint64_t seed = testing::TestSeed(44);
   DAVINCI_ANNOUNCE_SEED(seed);
   std::vector<uint32_t> keys = ZipfKeys(60000, seed);
 
-  // Reference: the same stream, applied with publish-per-mutation.
+  // Reference: the same stream, applied with no readers.
   ConcurrentDaVinci reference(4, 128 * 1024, 9);
   reference.InsertBatch(keys);
 
-  // Batched publication with concurrent lock-free readers racing the
-  // writer. Reader answers are unchecked mid-flight (they lag by design);
-  // what must hold is bit-equivalence after quiesce + flush.
+  // The same stream with concurrent lock-free readers racing the writer.
+  // Reader answers are unchecked mid-flight (they may see the batch on
+  // some shards only); what must hold is bit-equivalence once the call
+  // returns.
   ConcurrentDaVinci contended(4, 128 * 1024, 9);
-  contended.SetPublishInterval(512);
   std::atomic<bool> stop{false};
   std::vector<std::thread> readers;
   for (int t = 0; t < 2; ++t) {
@@ -186,7 +162,6 @@ TEST(PublishBatchingTest, MixedReadersMatchQuiescedReference) {
   contended.InsertBatch(keys);
   stop.store(true, std::memory_order_release);
   for (std::thread& reader : readers) reader.join();
-  contended.FlushViews();
 
   std::vector<uint32_t> probes(keys.begin(), keys.begin() + 4096);
   EXPECT_EQ(contended.QueryBatch(probes), reference.QueryBatch(probes));
@@ -204,13 +179,10 @@ TEST(TuningHealthTest, KnobsSurfaceInHealthSnapshot) {
   obs::HealthSnapshot snapshot;
   sketch.CollectStats(&snapshot);
   EXPECT_EQ(snapshot.tuning.decode_min_buckets_per_worker, 2048u);
-  EXPECT_EQ(snapshot.tuning.publish_interval, 0u);  // plain sketch
 
   ConcurrentDaVinci shared(2, 64 * 1024, 5);
-  shared.SetPublishInterval(256);
   obs::HealthSnapshot aggregated;
   shared.CollectStats(&aggregated);
-  EXPECT_EQ(aggregated.tuning.publish_interval, 256u);
   EXPECT_GT(aggregated.tuning.decode_min_buckets_per_worker, 0u);
 }
 

@@ -317,7 +317,6 @@ TEST_F(MergeTreeTest, WireFanInMatchesInProcessLeftFold) {
   ASSERT_EQ(client_.ExportSketch("agg", /*format=*/0, &agg_image),
             server::StatusCode::kOk);
   EXPECT_EQ(agg_image.height, 1u);
-  expected.FlushViews();
   std::stringstream expected_bytes;
   expected.SaveShards(expected_bytes, SketchFormat::kFlat);
   EXPECT_EQ(agg_image.image, expected_bytes.str())
@@ -488,7 +487,6 @@ TEST(WireFormatTest, CheckpointV1FlatBodiesStillRecover) {
   Trace trace = BuildSkewedTrace("v1", 20000, 1000, 1.05, seed);
   std::vector<int64_t> ones(trace.keys.size(), 1);
   engine.InsertBatch(trace.keys, ones);
-  engine.FlushViews();
 
   // Hand-rolled DVCK v1: exactly what pre-compression servers wrote —
   // version 1 with a flat SaveShards body.
